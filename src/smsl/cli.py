@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: detect, baseline, eval, synth, sweep, rerun. Every run writes a
-JSON manifest next to its outputs with the resolved parameters and seeds;
-`smsl rerun MANIFEST` replays the recorded command and reproduces the
+JSON manifest next to its outputs with the resolved parameters, seeds and the
+sha256 of every input file; `smsl rerun MANIFEST` checks those checksums
+(exit 1 on a mismatch), then replays the recorded command and reproduces the
 outputs bitwise.
 
 Exit codes: 0 success, 1 runtime/data failure, 2 usage/config error.
@@ -11,6 +12,7 @@ Exit codes: 0 success, 1 runtime/data failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -77,6 +79,25 @@ def _load_views(paths) -> cube.ViewSet:
     return cube.ViewSet(tuple(cube.load_cube(p) for p in paths))
 
 
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _input_checksums(inputs: list) -> dict:
+    """sha256 of every input file and of every payload an input header
+    names, keyed by path; a file named twice is hashed once."""
+    sums = {}
+    for path in inputs:
+        for name in cube.input_files(path):
+            if name not in sums:
+                sums[name] = _sha256(name)
+    return sums
+
+
 def _write_manifest(path: str, command: str, argv: list, params: dict,
                     inputs: list, outputs: list, wall_time: float,
                     convergence=None) -> None:
@@ -85,6 +106,7 @@ def _write_manifest(path: str, command: str, argv: list, params: dict,
         "argv": list(argv),
         "params": params,
         "inputs": list(inputs),
+        "input_sha256": _input_checksums(inputs),
         "outputs": list(outputs),
         "wall_time_s": wall_time,
     }
@@ -202,6 +224,8 @@ def parse_grid(text: str) -> dict:
 
 
 def cmd_sweep(args, argv) -> int:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
     grid = parse_grid(args.grid)
     base_cfg = _detector_config(args)
     try:
@@ -224,6 +248,12 @@ def cmd_sweep(args, argv) -> int:
 def cmd_rerun(args, _argv) -> int:
     with open(args.manifest, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
+    for path, digest in manifest.get("input_sha256", {}).items():
+        if _sha256(path) != digest:
+            raise cube.FormatError(
+                f"{path}: sha256 differs from the one recorded in "
+                f"{args.manifest}; the replay would not reproduce the run"
+            )
     return main(manifest["argv"])
 
 

@@ -199,11 +199,16 @@ def _read_header(path: str, expected_magic: str) -> dict:
     return fields
 
 
+def _payload_path(header_path: str, fields: dict) -> str:
+    return os.path.join(os.path.dirname(header_path), fields["payload"])
+
+
 def _read_payload(header_path: str, fields: dict) -> np.ndarray:
-    payload_path = os.path.join(os.path.dirname(header_path), fields["payload"])
+    payload_path = _payload_path(header_path, fields)
     n = fields["bands"] * fields["height"] * fields["width"]
     try:
-        raw = open(payload_path, "rb").read()
+        with open(payload_path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise FormatError(f"missing payload {payload_path}: {exc}") from exc
     if len(raw) != 4 * n:
@@ -225,6 +230,18 @@ def _payload_name(header_path: str) -> str:
     base = os.path.basename(header_path)
     stem = base.rsplit(".", 1)[0] if "." in base else base
     return stem + ".raw"
+
+
+def input_files(path: str) -> list:
+    """The files that loading `path` reads: a cube or score-map header and
+    the payload it names, or a mask on its own."""
+    for magic in (CUBE_MAGIC, SCORES_MAGIC):
+        try:
+            fields = _read_header(path, magic)
+        except FormatError:
+            continue
+        return [path, _payload_path(path, fields)]
+    return [path]
 
 
 def load_cube(header_path: str) -> HyperCube:

@@ -65,22 +65,12 @@ def detect(views: ViewSet, cfg: DetectorConfig = DetectorConfig()) -> DetectionM
     """Full pipeline. average_mode="dictionary" averages the sketched
     dictionaries and runs one solve; "scores" runs one solve per repeat and
     averages the resulting maps."""
-    height, width = views.height, views.width
-    if cfg.sketch.average_mode == "scores":
-        maps = []
-        for h in build_dictionaries(views, cfg.sketch):
-            result = solve(views, h, cfg.solver)
-            maps.append(_score_solution(h, result, height, width).scores)
-        return DetectionMap(height, width, np.mean(maps, axis=0))
-    h = build_dictionary(views, cfg.sketch)
-    result = solve(views, h, cfg.solver)
-    return _score_solution(h, result, height, width)
+    return detect_with_result(views, cfg)[0]
 
 
 def detect_with_result(views: ViewSet, cfg: DetectorConfig):
-    """Like :func:`detect` but also returns the (last) SolveResult, for
-    convergence reporting. Under score averaging the per-repeat maps are
-    averaged exactly as in detect()."""
+    """:func:`detect`, also returning the (last) SolveResult for
+    convergence reporting."""
     height, width = views.height, views.width
     if cfg.sketch.average_mode == "scores":
         maps = []

@@ -7,6 +7,14 @@ matrix C, its low-rank auxiliary J, then per view the specific matrix D^s
 matrix E^s and its column-sparse auxiliary W^s; finally all multipliers and
 the penalty mu. Initialization is all-zero with mu0=1e-5, mu_max=1e5,
 rho=1.1, 60 iterations, tolerance 1e-5.
+
+Both linear systems are a I + b G with the Gram matrix G = H'H + 11' of the
+L x n_h dictionary H, whose rank r is at most L+1. One thin SVD of [H', 1]
+gives G = U diag(g) U' with U of shape n_h x r, and the Woodbury identity
+turns every C and D solve into products with U. C, J and Y4 start at zero
+and never leave range(U), so solve() thresholds the r x N matrix
+U'(C + Y4/mu) instead of the n_h x N one. Both savings vanish when
+n_h <= L+1, where r = n_h.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import ViewSet
-from .prox import l21_shrink, svt
+from .prox import _SV_CUTOFF, l21_shrink, svt
 from .sketch import SketchedDictionary
 
 
@@ -46,9 +54,6 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        # both the ridge and the penalty vanishing makes the D-system singular
-        if self.lambda2 == 0 and self.mu0 == 0:
-            raise ValueError("lambda2 and mu0 cannot both be zero")
 
 
 @dataclass
@@ -108,23 +113,30 @@ def init_state(n_views: int, n_bands: int, n_pixels: int, n_h: int,
     )
 
 
-def cho_factor(a: np.ndarray) -> np.ndarray:
-    """Factor the SPD system matrix `a` once for repeated solves: returns
-    a^-1 = L^-T L^-1 from its Cholesky factor L, so a matrix that is not
-    positive definite raises LinAlgError.
-
-    Every linear solve goes through numpy's LAPACK. scipy.linalg links a
-    second OpenBLAS, and alternating the two thread pools with numpy's SVD
-    on the same cores made an iteration several times slower.
-    """
-    l_inv = np.linalg.inv(np.linalg.cholesky(a))
-    return l_inv.T @ l_inv
+def _gram_basis(h: np.ndarray) -> tuple:
+    """Eigenpairs (U, g) of G = H'H + 11' from a thin SVD of [H', 1]:
+    G = U diag(g) U' with U of shape n_h x r and r <= min(n_h, L+1).
+    Singular values below prox._SV_CUTOFF of the largest are dropped."""
+    n_h = h.shape[1]
+    u, sv, _ = np.linalg.svd(np.hstack([h.T, np.ones((n_h, 1))]),
+                             full_matrices=False)
+    keep = sv > _SV_CUTOFF * sv[0]
+    return u[:, keep], sv[keep] ** 2
 
 
-def cho_solve(a_inv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solution X of a X = b, given a_inv = cho_factor(a). A function of
-    its own so that a trace can time the solves apart from the rest."""
-    return a_inv @ b
+def _gram_solve(basis: tuple, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """(a I + b G)^-1 x for G = U diag(g) U' (Woodbury). Outside range(U)
+    the system is a I, so a = 0 with r < n_h is singular: LinAlgError."""
+    u, g = basis
+    w = 1.0 / (a + b * g)
+    if u.shape[1] == u.shape[0]:
+        return np.linalg.multi_dot([u * w, u.T, x])
+    if a == 0:
+        raise np.linalg.LinAlgError(
+            f"singular system: G has rank {u.shape[1]} < {u.shape[0]} "
+            "and no ridge (lambda2 = 0 needs sketch size <= bands + 1)"
+        )
+    return x / a + np.linalg.multi_dot([u * (w - 1.0 / a), u.T, x])
 
 
 def _c_rhs(state: SolverState, xs: list, h: np.ndarray) -> np.ndarray:
@@ -138,17 +150,12 @@ def _c_rhs(state: SolverState, xs: list, h: np.ndarray) -> np.ndarray:
     return b
 
 
-def _c_system(h: np.ndarray, n_views: int) -> np.ndarray:
-    n_h = h.shape[1]
-    return n_views * (h.T @ h) + n_views * np.ones((n_h, n_h)) + np.eye(n_h)
-
-
 def update_c(state: SolverState, views, h) -> np.ndarray:
     """Least-squares block for C: solve A C = B, A = S H'H + S 11' + I."""
     hmat = _as_h(h)
     xs = _as_matrices(views)
-    a = _c_system(hmat, len(xs))
-    return cho_solve(cho_factor(a), _c_rhs(state, xs, hmat))
+    return _gram_solve(_gram_basis(hmat), 1.0, len(xs),
+                       _c_rhs(state, xs, hmat))
 
 
 def update_j(state: SolverState, cfg: SolverConfig) -> np.ndarray:
@@ -176,11 +183,8 @@ def update_d(state: SolverState, views, h, s: int,
     """Ridge solve for view s's specific block, clipped to be nonnegative."""
     hmat = _as_h(h)
     xs = _as_matrices(views)
-    n_h = hmat.shape[1]
-    m = cfg.lambda2 * np.eye(n_h) + state.mu * (
-        hmat.T @ hmat + np.ones((n_h, n_h))
-    )
-    sol = cho_solve(cho_factor(m), _d_rhs(state, xs, hmat, s, cfg))
+    sol = _gram_solve(_gram_basis(hmat), cfg.lambda2, state.mu,
+                      _d_rhs(state, xs, hmat, s, cfg))
     return np.maximum(sol, 0.0)
 
 
@@ -258,24 +262,21 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
         )
 
     state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0)
-    ht = hmat.T
-    hth = ht @ hmat
-    ones_nh = np.ones((n_h, n_h))
-    cho_a = cho_factor(n_views * hth + n_views * ones_nh + np.eye(n_h))
+    basis = _gram_basis(hmat)
+    u = basis[0]
 
     converged = False
     trace = []
     for it in range(1, cfg.max_iter + 1):
         state.iteration = it
         mu = state.mu
-        state.c = cho_solve(cho_a, _c_rhs(state, xs, hmat))
-        state.j = svt(state.c + state.y4 / mu, cfg.lambda1 / mu)
-
-        # the D-system matrix depends only on mu: one factorization per iter
-        cho_m = cho_factor(cfg.lambda2 * np.eye(n_h) + mu * (hth + ones_nh))
+        state.c = _gram_solve(basis, 1.0, n_views, _c_rhs(state, xs, hmat))
+        # C + Y4/mu lies in range(U), so its SVT is U svt(U'(C + Y4/mu))
+        state.j = u @ svt(u.T @ (state.c + state.y4 / mu), cfg.lambda1 / mu)
         for s in range(n_views):
             state.d[s] = np.maximum(
-                cho_solve(cho_m, _d_rhs(state, xs, hmat, s, cfg)), 0.0
+                _gram_solve(basis, cfg.lambda2, mu,
+                            _d_rhs(state, xs, hmat, s, cfg)), 0.0
             )
             state.e[s] = update_e(state, xs, hmat, s)
             state.w[s] = update_w(state, s)

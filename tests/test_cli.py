@@ -1,4 +1,9 @@
+import gc
+import hashlib
 import json
+import os
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +70,55 @@ class TestDetect:
         manifest_path = out + ".manifest.json"
         assert main(["rerun", manifest_path]) == 0
         assert open(out[:-4] + ".raw", "rb").read() == payload
+
+
+    def test_manifest_records_input_checksums(self, scene, tmp_path):
+        out = str(tmp_path / "scores.hdr")
+        assert main(detect_args(scene, out)) == 0
+        with open(out + ".manifest.json") as fh:
+            sums = json.load(fh)["input_sha256"]
+        payloads = [p[:-4] + ".raw" for p in scene["cubes"]]
+        assert sorted(sums) == sorted(scene["cubes"] + payloads)
+        with open(payloads[0], "rb") as fh:
+            assert sums[payloads[0]] == hashlib.sha256(fh.read()).hexdigest()
+
+    def test_rerun_rejects_changed_input(self, scene, tmp_path, capsys):
+        cubes = []
+        for p in scene["cubes"]:
+            for src in (p, p[:-4] + ".raw"):
+                shutil.copy(src, tmp_path)
+            cubes.append(str(tmp_path / os.path.basename(p)))
+        out = str(tmp_path / "scores.hdr")
+        assert main(detect_args({"cubes": cubes}, out)) == 0
+        with open(cubes[1][:-4] + ".raw", "r+b") as fh:
+            fh.seek(7)
+            byte = fh.read(1)[0]
+            fh.seek(7)
+            fh.write(bytes([byte ^ 0x01]))
+        capsys.readouterr()
+        assert main(["rerun", out + ".manifest.json"]) == 1
+        assert "view_2.raw: sha256 differs" in capsys.readouterr().err
+
+    def test_zero_ridge_rank_deficient_usage_error(self, scene, tmp_path,
+                                                   capsys):
+        # sketch size 12 > bands + 1 = 9: the D-system has no ridge to make
+        # it invertible
+        code = main(detect_args(scene, str(tmp_path / "s.hdr"))
+                    + ["--lambda2", "0"])
+        assert code == 2
+        assert "singular" in capsys.readouterr().err
+
+    def test_loads_close_their_files(self, scene, tmp_path):
+        out = str(tmp_path / "scores.hdr")
+        assert main(detect_args(scene, out, ["--max-iter", "1"])) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["eval", "--scores", out, "--mask",
+                         scene["mask"]]) == 0
+            assert main(detect_args(scene, out, ["--max-iter", "1"])) == 0
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 class TestBaseline:
@@ -152,6 +206,13 @@ class TestSweep:
                      "--grid", "nonsense", "--out", str(tmp_path / "o.csv")])
         capsys.readouterr()
         assert code == 2
+
+    def test_jobs_below_one_exit_2(self, scene, tmp_path, capsys):
+        code = main(["sweep", *scene["cubes"], "--mask", scene["mask"],
+                     "--grid", "lambda2=1,10", "--jobs", "0",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_two_by_two_grid_rows(self, scene, tmp_path):
         out = str(tmp_path / "sweep.csv")

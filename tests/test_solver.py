@@ -3,7 +3,7 @@ import pytest
 
 import smsl.solver as solver_mod
 from smsl.solver import (SolverConfig, SolverError, init_state, residuals,
-                         solve, update_c, update_d, update_e,
+                         solve, update_c, update_d, update_e, update_j,
                          update_multipliers, update_w)
 from smsl.prox import svt
 
@@ -74,8 +74,9 @@ class TestUpdateC:
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(10)
-        for _ in range(5):
-            xs, h, state = random_instance(rng)
+        # n_h = 3 <= L+1 (full-rank system) and n_h = 10 > L+1 (rank L+1)
+        for n_bands, n_h in [(4, 3)] * 5 + [(4, 10)] * 3:
+            xs, h, state = random_instance(rng, n_bands=n_bands, n_h=n_h)
             a, b, expected = dense_c_oracle(state, xs, h)
             got = update_c(state, xs, h)
             assert np.allclose(got, expected, atol=1e-10)
@@ -136,9 +137,10 @@ class TestUpdateD:
     def test_matches_ridge_oracle_pre_projection(self):
         rng = np.random.default_rng(15)
         cfg = SolverConfig(lambda2=2.0, lambda3=0.0)
-        for _ in range(5):
-            xs, h, state = random_instance(rng, n_bands=8, n_pixels=40,
-                                           n_h=10)
+        # n_h = 10 > L+1 (rank-deficient H'H + 11') and n_h = 6 <= L+1
+        for n_bands, n_h in [(8, 10)] * 5 + [(8, 6)] * 3:
+            xs, h, state = random_instance(rng, n_bands=n_bands,
+                                           n_pixels=40, n_h=n_h)
             n_h = h.shape[1]
             mu = state.mu
             ones = np.ones((n_h, 1))
@@ -151,6 +153,20 @@ class TestUpdateD:
             got = update_d(state, xs, h, 0, cfg)
             scale = max(1.0, np.abs(expected).max())
             assert np.abs(got - expected).max() <= 1e-8 * scale
+
+    def test_zero_ridge(self):
+        # without the ridge the system is mu (H'H + 11'), singular when
+        # n_h > L+1 and positive definite otherwise
+        rng = np.random.default_rng(26)
+        cfg = SolverConfig(lambda2=0.0)
+        xs, h, state = random_instance(rng, n_bands=4, n_h=8)
+        with pytest.raises(np.linalg.LinAlgError):
+            update_d(state, xs, h, 0, cfg)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(xs, h, cfg)
+        xs, h, state = random_instance(rng, n_bands=8, n_h=6)
+        d = update_d(state, xs, h, 0, cfg)
+        assert np.isfinite(d).all() and d.min() >= 0.0
 
 
 class TestUpdateE:
@@ -237,7 +253,53 @@ class TestResiduals:
         assert np.isclose(r[3], np.abs(delta).max())
 
 
+def reference_solve(xs, h, cfg):
+    """solve() as a plain loop over the public block functions, in its
+    order; update_j takes the SVT of the full n_h x N matrix."""
+    state = init_state(len(xs), *xs[0].shape, h.shape[1], cfg.mu0)
+    for _ in range(cfg.max_iter):
+        state.c = update_c(state, xs, h)
+        state.j = update_j(state, cfg)
+        for s in range(len(xs)):
+            state.d[s] = update_d(state, xs, h, s, cfg)
+            state.e[s] = update_e(state, xs, h, s)
+            state.w[s] = update_w(state, s)
+        r = residuals(state, xs, h)
+        state = update_multipliers(state, xs, h, cfg)
+        state.residual_history.append(max(r))
+        if max(r) < cfg.epsilon:
+            break
+    return state
+
+
+def assert_rel_close(got, expected, rtol):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+
 class TestSolve:
+    @pytest.mark.parametrize("n_views", [2, 3])
+    @pytest.mark.parametrize("n_bands,n_h", [(4, 9), (8, 6)],
+                             ids=["rank_deficient", "full_rank"])
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(),
+        SolverConfig(lambda1=0.05, mu0=0.5, rho=1.3, max_iter=25),
+    ], ids=["defaults", "active_svt"])
+    def test_matches_block_function_loop(self, n_views, n_bands, n_h, cfg):
+        rng = np.random.default_rng(27 + n_views + n_h)
+        xs = [rng.standard_normal((n_bands, 30)) for _ in range(n_views)]
+        h = rng.standard_normal((n_bands, n_h))
+        got = solve(xs, h, cfg).state
+        ref = reference_solve(xs, h, cfg)
+        if cfg.mu0 > SolverConfig().mu0:
+            assert np.abs(ref.j).max() > 0  # the SVT keeps a nonzero part
+        assert_rel_close(got.c, ref.c, 1e-9)
+        for s in range(n_views):
+            assert_rel_close(got.d[s], ref.d[s], 1e-9)
+            assert_rel_close(got.e[s], ref.e[s], 1e-9)
+        assert_rel_close(got.residual_history, ref.residual_history, 1e-9)
+
     def test_deterministic(self):
         rng = np.random.default_rng(22)
         xs = [rng.standard_normal((4, 30)) for _ in range(2)]
