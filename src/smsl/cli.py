@@ -25,7 +25,12 @@ from .evaluate import SynthSpec, apply_params, roc, synth_scene, sweep, \
 from .sketch import SketchConfig
 from .solver import SolverConfig
 
-_INT_PARAMS = {"sketch_size", "seed", "repeats", "max_iter"}
+_DEFAULTS = {"sketch": SketchConfig(), "solver": SolverConfig()}
+# sweep parameters whose default is an integer take integer grid values
+_INT_PARAMS = {
+    name for name, (group, fld) in evaluate._PARAM_MAP.items()
+    if isinstance(getattr(_DEFAULTS[group], fld), int)
+}
 
 
 class UsageError(ValueError):

@@ -318,15 +318,3 @@ def save_mask(mask: GroundTruthMask, path: str) -> None:
         fh.write(header)
         fh.write((mask.labels.reshape(-1) * np.uint8(255)).tobytes())
 
-
-def save_heatmap_pgm(scores: DetectionMap, path: str) -> None:
-    """Min-max normalized 8-bit PGM rendering of a score map, for eyeballing."""
-    s = scores.scores
-    span = float(s.max() - s.min())
-    if span == 0.0:
-        img = np.zeros_like(s, dtype=np.uint8)
-    else:
-        img = np.round((s - s.min()) / span * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{scores.width} {scores.height}\n255\n".encode("ascii"))
-        fh.write(img.reshape(-1).tobytes())

@@ -24,6 +24,9 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise ValueError("svt input must be finite")
+    if np.linalg.norm(m) <= tau:
+        # every singular value is at most the Frobenius norm: nothing survives
+        return np.zeros_like(m)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s.size and s[0] > 0:
         s = np.where(s < _SV_CUTOFF * s[0], 0.0, s)

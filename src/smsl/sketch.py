@@ -61,7 +61,9 @@ def jlt_matrix(n: int, n_h: int, seed: int) -> np.ndarray:
     if n < 1 or n_h < 1:
         raise ValueError("jlt_matrix requires n >= 1 and n_h >= 1")
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, n_h)) / np.sqrt(n_h)
+    r = rng.standard_normal((n, n_h))
+    r /= np.sqrt(n_h)
+    return r
 
 
 def _single_dictionary(stacked: np.ndarray, n_h: int, seed: int) -> np.ndarray:

@@ -200,6 +200,10 @@ class TestSweep:
         grid = parse_grid("lambda2=0.1,1,10;lambda3=1,10")
         assert grid == {"lambda2": [0.1, 1.0, 10.0], "lambda3": [1.0, 10.0]}
         assert parse_grid("sketch_size=50,100") == {"sketch_size": [50, 100]}
+        grid = parse_grid("max_iter=5;repeats=2;seed=3;mu0=1")
+        assert grid == {"max_iter": [5], "repeats": [2], "seed": [3],
+                        "mu0": [1.0]}
+        assert [type(v[0]) for v in grid.values()] == [int, int, int, float]
 
     def test_malformed_grid_exit_2(self, scene, tmp_path, capsys):
         code = main(["sweep", *scene["cubes"], "--mask", scene["mask"],

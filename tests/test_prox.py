@@ -73,6 +73,31 @@ class TestSvt:
         with pytest.raises(ValueError):
             svt(np.array([[np.inf]]), 1.0)
 
+    @pytest.mark.parametrize("rank_one", [False, True], ids=["random", "rank1"])
+    def test_zero_when_frobenius_norm_at_most_tau(self, rank_one):
+        rng = np.random.default_rng(4)
+        if rank_one:
+            m = np.outer(rng.standard_normal(7), rng.standard_normal(5))
+        else:
+            m = rng.standard_normal((7, 5))
+        tau = 2.0
+        m *= tau * (1 - 1e-12) / np.linalg.norm(m)
+        assert np.linalg.norm(m) <= tau
+        out = svt(m, tau)
+        assert out.shape == m.shape and out.dtype == np.float64
+        assert np.array_equal(out, np.zeros_like(m))
+
+    def test_rank_one_just_above_tau_matches_dense_shrinkage(self):
+        rng = np.random.default_rng(5)
+        m = np.outer(rng.standard_normal(7), rng.standard_normal(5))
+        tau = 2.0
+        m *= tau * (1 + 1e-3) / np.linalg.norm(m)
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        expected = (u * np.maximum(s - tau, 0.0)) @ vt
+        out = svt(m, tau)
+        assert np.abs(out).max() > 0
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
 
 class TestL21Shrink:
     def test_hand_case(self):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,52 @@ class TestResiduals:
         state.c = state.c + delta
         r = residuals(state, xs, h)
         assert np.isclose(r[3], np.abs(delta).max())
+
+
+def reference_gaps_then_ascent(state, xs, h, cfg):
+    """The residuals and the dual ascent as two separate passes that each
+    form every gap out of place."""
+    r1 = r2 = r3 = 0.0
+    for s, x in enumerate(xs):
+        r1 = max(r1, float(np.abs(x - h @ (state.c + state.d[s])
+                                  - state.e[s]).max()))
+        r2 = max(r2, float(np.abs(state.e[s] - state.w[s]).max()))
+        r3 = max(r3, float(np.abs((state.c + state.d[s]).sum(axis=0)
+                                  - 1.0).max()))
+    r4 = float(np.abs(state.c - state.j).max())
+    mu = state.mu
+    for s, x in enumerate(xs):
+        hcd = h @ (state.c + state.d[s])
+        state.y1[s] = state.y1[s] + mu * (x - hcd - state.e[s])
+        state.y2[s] = state.y2[s] + mu * (
+            (state.c + state.d[s]).sum(axis=0) - 1.0
+        )
+        state.y3[s] = state.y3[s] + mu * (state.e[s] - state.w[s])
+    state.y4 = state.y4 + mu * (state.c - state.j)
+    state.mu = min(cfg.rho * mu, cfg.mu_max)
+    return r1, r2, r3, r4
+
+
+class TestFeasibilityStep:
+    @pytest.mark.parametrize("n_views", [2, 3])
+    def test_matches_separate_residuals_and_ascent_bitwise(self, n_views):
+        rng = np.random.default_rng(28 + n_views)
+        xs, h, state = random_instance(rng, n_views=n_views, n_bands=5,
+                                       n_pixels=40, n_h=7)
+        cfg = SolverConfig(rho=1.3)
+        fused, wrapped, ref = (copy.deepcopy(state) for _ in range(3))
+        r_fused = solver_mod._feasibility_step(fused, xs, h, cfg)
+        r_wrapped = residuals(wrapped, xs, h)
+        wrapped = update_multipliers(wrapped, xs, h, cfg)
+        r_ref = reference_gaps_then_ascent(ref, xs, h, cfg)
+        assert min(r_ref) > 0  # nonfeasible in every constraint
+        assert r_fused == r_ref and r_wrapped == r_ref
+        for got in (fused, wrapped):
+            assert got.mu == ref.mu
+            for name in ("y1", "y2", "y3"):
+                for a, b in zip(getattr(got, name), getattr(ref, name)):
+                    assert np.array_equal(a, b)
+            assert np.array_equal(got.y4, ref.y4)
 
 
 def reference_solve(xs, h, cfg):
