@@ -92,26 +92,29 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _input_checksums(inputs: list) -> dict:
+def _input_checksums(inputs: list, verified: dict) -> dict:
     """sha256 of every input file and of every payload an input header
-    names, keyed by path; a file named twice is hashed once."""
+    names, keyed by path; a file named twice is hashed once, and a file
+    with a digest in `verified` is not hashed again."""
     sums = {}
     for path in inputs:
         for name in cube.input_files(path):
             if name not in sums:
-                sums[name] = _sha256(name)
+                sums[name] = verified.get(name) or _sha256(name)
     return sums
 
 
-def _write_manifest(path: str, command: str, argv: list, params: dict,
-                    inputs: list, outputs: list, wall_time: float,
-                    convergence=None) -> None:
+def _write_manifest(path: str, command: str, argv: list, args,
+                    exclude: tuple, inputs: list, outputs: list,
+                    wall_time: float, convergence=None) -> None:
+    """Manifest of one command; `exclude` names the arguments that are
+    recorded as inputs or outputs rather than as parameters."""
     manifest = {
         "command": command,
         "argv": list(argv),
-        "params": params,
+        "params": _params_dict(args, exclude),
         "inputs": list(inputs),
-        "input_sha256": _input_checksums(inputs),
+        "input_sha256": _input_checksums(inputs, args.verified_sha256),
         "outputs": list(outputs),
         "wall_time_s": wall_time,
     }
@@ -142,9 +145,9 @@ def cmd_detect(args, argv) -> int:
         "iterations_run": result.iterations_run,
         "final_max_residual": result.residual_history[-1],
     }
-    _write_manifest(_manifest_path(args.out), "detect", argv,
-                    _params_dict(args, ("cubes", "out", "trace")),
-                    args.cubes, outputs, elapsed, convergence)
+    _write_manifest(_manifest_path(args.out), "detect", argv, args,
+                    ("cubes", "out", "trace"), args.cubes, outputs, elapsed,
+                    convergence)
     return 0
 
 
@@ -156,9 +159,8 @@ def cmd_baseline(args, argv) -> int:
     scores = baselines.run_baseline(args.method, views, args.ridge)
     elapsed = time.monotonic() - start
     cube.save_scores(scores, args.out)
-    _write_manifest(_manifest_path(args.out), "baseline", argv,
-                    _params_dict(args, ("cubes", "out")),
-                    args.cubes, [args.out], elapsed)
+    _write_manifest(_manifest_path(args.out), "baseline", argv, args,
+                    ("cubes", "out"), args.cubes, [args.out], elapsed)
     return 0
 
 
@@ -173,9 +175,8 @@ def cmd_eval(args, argv) -> int:
     if args.roc_out:
         write_roc_csv(curve, args.roc_out)
         outputs.append(args.roc_out)
-        _write_manifest(_manifest_path(args.roc_out), "eval", argv,
-                        _params_dict(args, ()), [args.scores, args.mask],
-                        outputs, 0.0)
+        _write_manifest(_manifest_path(args.roc_out), "eval", argv, args,
+                        (), [args.scores, args.mask], outputs, 0.0)
     print(f"auc={curve.auc:.6f}")
     return 0
 
@@ -201,7 +202,7 @@ def cmd_synth(args, argv) -> int:
     cube.save_mask(mask, mask_path)
     outputs.append(mask_path)
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), "synth",
-                    argv, _params_dict(args, ("out_dir",)), [], outputs, 0.0)
+                    argv, args, ("out_dir",), [], outputs, 0.0)
     return 0
 
 
@@ -244,26 +245,27 @@ def cmd_sweep(args, argv) -> int:
     rows = sweep(views, mask, base_cfg, grid, jobs=args.jobs)
     elapsed = time.monotonic() - start
     write_sweep_csv(rows, args.out)
-    _write_manifest(_manifest_path(args.out), "sweep", argv,
-                    _params_dict(args, ("cubes", "out")),
-                    list(args.cubes) + [args.mask], [args.out], elapsed)
+    _write_manifest(_manifest_path(args.out), "sweep", argv, args,
+                    ("cubes", "out"), list(args.cubes) + [args.mask],
+                    [args.out], elapsed)
     return 0
 
 
 def cmd_rerun(args, _argv) -> int:
     with open(args.manifest, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
-    for path, digest in manifest.get("input_sha256", {}).items():
+    recorded = manifest.get("input_sha256", {})
+    for path, digest in recorded.items():
         if _sha256(path) != digest:
             raise cube.FormatError(
                 f"{path}: sha256 differs from the one recorded in "
                 f"{args.manifest}; the replay would not reproduce the run"
             )
-    return main(manifest["argv"])
+    return _run(manifest["argv"], recorded)
 
 
 def _params_dict(args, exclude=()) -> dict:
-    skip = set(exclude) | {"func"}
+    skip = set(exclude) | {"func", "verified_sha256"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
@@ -330,12 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = list(argv)
+    return _run(list(argv), {})
+
+
+def _run(argv: list, verified_sha256: dict) -> int:
+    """Parse and run one command. `verified_sha256` maps input paths to
+    digests the caller has just checked; the manifest reuses them."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    args.verified_sha256 = verified_sha256
     try:
         return args.func(args, argv)
     except UsageError as exc:

@@ -207,15 +207,16 @@ def _read_payload(header_path: str, fields: dict) -> np.ndarray:
     payload_path = _payload_path(header_path, fields)
     n = fields["bands"] * fields["height"] * fields["width"]
     try:
-        with open(payload_path, "rb") as fh:
-            raw = fh.read()
+        fh = open(payload_path, "rb")
     except OSError as exc:
         raise FormatError(f"missing payload {payload_path}: {exc}") from exc
-    if len(raw) != 4 * n:
-        raise FormatError(
-            f"{payload_path}: payload is {len(raw)} bytes, expected {4 * n}"
-        )
-    data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != 4 * n:
+            raise FormatError(
+                f"{payload_path}: payload is {size} bytes, expected {4 * n}"
+            )
+        data = np.fromfile(fh, dtype="<f4", count=n).astype(np.float64)
     _check_finite(data, f"payload {payload_path}")
     return data
 

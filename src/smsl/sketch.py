@@ -2,13 +2,22 @@
 
 The dictionary is ``H = [X^1, ..., X^S] R`` where R has i.i.d. N(0, 1/n_h)
 entries. Sampling uses numpy's PCG64 generator (ziggurat standard normals),
-so equal seeds reproduce equal matrices on any platform; tests check
-statistics rather than bit streams.
+so equal seeds reproduce equal matrices on any platform.
+
+The builders never hold a whole R: each repeat's R_j is streamed in row
+blocks of 2 MB, the repeats of a block are drawn in parallel (one thread
+per repeat, at most one per available CPU), and the blocks are summed over
+the repeats in a fixed order, so the dictionary has the same bits whatever
+the number of cores. Averaged dictionaries take one product X mean_j(R_j)
+instead of one per repeat.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -19,6 +28,10 @@ AVERAGE_MODES = ("dictionary", "scores")
 # salt sequence for per-repeat seeds: seed XOR (j * odd 64-bit constant)
 _REPEAT_SALT = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+# float64 entries per repeat in one row block of R drawn at a time (2 MB)
+_BLOCK_ENTRIES = 1 << 18
+# float64 entries of projection rows gathered for one product with X (128 MB)
+_PANEL_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -66,35 +79,81 @@ def jlt_matrix(n: int, n_h: int, seed: int) -> np.ndarray:
     return r
 
 
-def _single_dictionary(stacked: np.ndarray, n_h: int, seed: int) -> np.ndarray:
-    return stacked @ jlt_matrix(stacked.shape[1], n_h, seed)
+def _draw_workers(repeats: int) -> int:
+    """Threads that draw the per-repeat blocks: one per repeat, at most one
+    per CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(repeats, cpus)
+
+
+def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
+    """``X R_j`` for every repeat j (one row each), or with ``average`` the
+    single ``X mean_j R_j``, where X stacks the views side by side and
+    ``R_j = jlt_matrix(S*N, n_h, repeat_seed(seed, j))``.
+
+    Each R_j is drawn in row blocks of _BLOCK_ENTRIES entries, the repeats
+    of a block in parallel; a block consumes its repeat's generator exactly
+    as the rows of one (S*N, n_h) draw do. The blocks are summed over j in
+    a fixed order, so the result does not depend on the worker count. They
+    fill a panel of at most _PANEL_ENTRIES entries, which takes one product
+    with X: a product per block, issued between the draws, left the idle
+    threads of a multi-threaded BLAS competing with the draws for the cores.
+    """
+    stacked = np.hstack(views.matrices())
+    n = stacked.shape[1]
+    n_h, repeats = cfg.n_h, cfg.repeats
+    if n_h > n:
+        raise ValueError(f"n_h={n_h} exceeds total sample count {n}")
+    n_out = 1 if average else repeats
+    rows = min(n, max(1, _BLOCK_ENTRIES // n_h))
+    panel_rows = min(n, max(1, _PANEL_ENTRIES // (n_out * n_h * rows)) * rows)
+    rngs = [np.random.default_rng(repeat_seed(cfg.seed, j))
+            for j in range(repeats)]
+    panel = np.empty((n_out, panel_rows, n_h))
+    # averaging: repeat 0 is drawn into the panel, the others into buf
+    buf = np.empty((repeats - n_out, rows, n_h))
+    out = np.zeros((n_out, stacked.shape[0], n_h))
+    scale = np.sqrt(n_h)
+
+    def draw(j, b0, k):
+        dst = panel[j, b0:b0 + k] if j < n_out else buf[j - n_out, :k]
+        rngs[j].standard_normal(out=dst)
+
+    with ThreadPoolExecutor(_draw_workers(repeats)) as pool:
+        for p0 in range(0, n, panel_rows):
+            pk = min(panel_rows, n - p0)
+            for b0 in range(0, pk, rows):
+                k = min(rows, pk - b0)
+                list(pool.map(draw, range(repeats), repeat(b0), repeat(k)))
+                blk = panel[:, b0:b0 + k]
+                for j in range(n_out, repeats):  # averaging only
+                    blk[0] += buf[j - n_out, :k]
+                blk /= scale
+                if average:
+                    blk /= repeats
+            for j in range(n_out):
+                out[j] += stacked[:, p0:p0 + pk] @ panel[j, :pk]
+    return out
 
 
 def build_dictionaries(views: ViewSet, cfg: SketchConfig) -> list:
     """One dictionary per repeat, each from its derived seed."""
-    stacked = np.hstack(views.matrices())
-    if cfg.n_h > stacked.shape[1]:
-        raise ValueError(
-            f"n_h={cfg.n_h} exceeds total sample count {stacked.shape[1]}"
-        )
     return [
-        SketchedDictionary(
-            _single_dictionary(stacked, cfg.n_h, repeat_seed(cfg.seed, j)),
-            replace(cfg, repeats=1, seed=repeat_seed(cfg.seed, j)),
-        )
-        for j in range(cfg.repeats)
+        SketchedDictionary(h, replace(cfg, repeats=1,
+                                      seed=repeat_seed(cfg.seed, j)))
+        for j, h in enumerate(_sketch(views, cfg, average=False))
     ]
 
 
 def build_dictionary(views: ViewSet, cfg: SketchConfig) -> SketchedDictionary:
     """The dictionary used by a single solve.
 
-    For average_mode="dictionary" this is the elementwise mean over the
-    repeats; for average_mode="scores" averaging happens over detection maps
-    instead, so each solve should use one entry of :func:`build_dictionaries`.
+    For average_mode="dictionary" this is ``X mean_j R_j``, the mean of the
+    per-repeat dictionaries up to rounding, from one product; for
+    average_mode="scores" averaging happens over detection maps instead, so
+    each solve should use one entry of :func:`build_dictionaries`.
     """
-    dicts = build_dictionaries(views, cfg)
-    if len(dicts) == 1:
-        return SketchedDictionary(dicts[0].h, cfg)
-    h = np.mean([d.h for d in dicts], axis=0)
-    return SketchedDictionary(h, cfg)
+    return SketchedDictionary(_sketch(views, cfg, average=True)[0], cfg)

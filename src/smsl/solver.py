@@ -216,7 +216,8 @@ def _feasibility_step(state: SolverState, xs: list, h: np.ndarray,
     mu = state.mu
 
     def use(gap, y, r):
-        r = max(r, float(np.abs(gap).max()))
+        # np.maximum keeps a NaN gap; the builtin max(0.0, nan) drops it
+        r = float(np.maximum(r, np.abs(gap).max()))
         if cfg is not None:
             gap *= mu
             y += gap
@@ -257,12 +258,16 @@ def _check_finite(state: SolverState, iteration: int) -> None:
     blocks = {"C": [state.c], "J": [state.j], "D": state.d, "E": state.e,
               "W": state.w, "Y1": state.y1, "Y2": state.y2, "Y3": state.y3,
               "Y4": [state.y4]}
-    for name, arrs in blocks.items():
-        for arr in arrs:
-            if not np.all(np.isfinite(arr)):
-                raise SolverError(
-                    f"non-finite values in {name} at iteration {iteration}"
-                )
+    # v.v is finite exactly when every entry is, unless it overflows; only
+    # then does the elementwise check (a boolean copy) run
+    with np.errstate(over="ignore"):
+        for name, arrs in blocks.items():
+            for arr in arrs:
+                v = arr.ravel()
+                if not (np.isfinite(v @ v) or np.isfinite(v).all()):
+                    raise SolverError(
+                        f"non-finite values in {name} at iteration {iteration}"
+                    )
 
 
 def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:

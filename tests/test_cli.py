@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smsl import cube
+from smsl import cli, cube
 from smsl.cli import main, parse_grid
 from smsl.cube import load_scores, save_cube, save_mask
 from smsl.evaluate import SynthSpec, synth_scene
@@ -98,6 +98,40 @@ class TestDetect:
         capsys.readouterr()
         assert main(["rerun", out + ".manifest.json"]) == 1
         assert "view_2.raw: sha256 differs" in capsys.readouterr().err
+
+    def test_rerun_hashes_each_input_once(self, scene, tmp_path,
+                                          monkeypatch, capsys):
+        cubes = []
+        for p in scene["cubes"]:
+            for src in (p, p[:-4] + ".raw"):
+                shutil.copy(src, tmp_path)
+            cubes.append(str(tmp_path / os.path.basename(p)))
+        out = str(tmp_path / "scores.hdr")
+        manifest_path = out + ".manifest.json"
+        assert main(detect_args({"cubes": cubes}, out)) == 0
+        with open(manifest_path) as fh:
+            before = json.load(fh)
+        hashed = []
+        sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256",
+                            lambda path: hashed.append(path) or sha256(path))
+        assert main(["rerun", manifest_path]) == 0
+        assert sorted(hashed) == sorted(before["input_sha256"])
+        with open(manifest_path) as fh:
+            after = json.load(fh)
+        assert after["input_sha256"] == before["input_sha256"]
+        assert after["params"] == before["params"]
+
+        hashed.clear()
+        with open(cubes[0][:-4] + ".raw", "r+b") as fh:
+            fh.seek(3)
+            byte = fh.read(1)[0]
+            fh.seek(3)
+            fh.write(bytes([byte ^ 0x01]))
+        capsys.readouterr()
+        assert main(["rerun", manifest_path]) == 1
+        assert "view_1.raw: sha256 differs" in capsys.readouterr().err
+        assert len(hashed) == len(set(hashed))
 
     def test_zero_ridge_rank_deficient_usage_error(self, scene, tmp_path,
                                                    capsys):

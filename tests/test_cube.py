@@ -29,6 +29,17 @@ def test_load_cube_truncated_payload(tmp_path):
         load_cube(str(tmp_path / "c.hdr"))
 
 
+def test_load_cube_overlong_payload(tmp_path):
+    payload = np.array([1, 2, 3, 4, 5], dtype="<f4").tobytes()
+    (tmp_path / "c.raw").write_bytes(payload)
+    (tmp_path / "c.hdr").write_text(
+        "magic=smsl-cube\nversion=1\nbands=2\nheight=1\nwidth=2\n"
+        "dtype=f32\nlayout=bsq\nbyte_order=little\npayload=c.raw\n"
+    )
+    with pytest.raises(FormatError, match="payload is 20 bytes, expected 16"):
+        load_cube(str(tmp_path / "c.hdr"))
+
+
 def test_load_cube_rejects_non_finite(tmp_path):
     payload = np.array([1.0, np.nan], dtype="<f4").tobytes()
     (tmp_path / "c.raw").write_bytes(payload)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smsl import sketch
 from smsl.cube import HyperCube, ViewSet
 from smsl.sketch import (SketchConfig, build_dictionaries, build_dictionary,
                          jlt_matrix, repeat_seed)
@@ -66,7 +67,9 @@ def test_dictionary_averaging_is_elementwise_mean():
     h = build_dictionary(vs, cfg)
     singles = build_dictionaries(vs, cfg)
     assert len(singles) == 2
-    assert np.allclose(h.h, (singles[0].h + singles[1].h) / 2, atol=0, rtol=0)
+    # X mean_j(R_j) equals the mean of the X R_j up to rounding
+    assert np.allclose(h.h, (singles[0].h + singles[1].h) / 2,
+                       atol=0, rtol=1e-12)
 
 
 def test_repeat_seed_zero_is_identity():
@@ -98,3 +101,70 @@ def test_averaged_dictionary_variance_shrinks():
     avg = build_dictionary(vs, SketchConfig(n_h=2000, seed=0, repeats=4))
     ratio = avg.h.var() / single.h.var()
     assert 0.15 < ratio < 0.35
+
+
+def _old_products(vs, cfg):
+    """X R_j for every repeat, one full jlt_matrix draw each."""
+    stacked = np.hstack(vs.matrices())
+    return [stacked @ jlt_matrix(stacked.shape[1], cfg.n_h,
+                                 repeat_seed(cfg.seed, j))
+            for j in range(cfg.repeats)]
+
+
+def _max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def _small_blocks(monkeypatch, block, panel):
+    monkeypatch.setattr(sketch, "_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(sketch, "_PANEL_ENTRIES", panel)
+
+
+class TestStreamedBuild:
+    @pytest.mark.parametrize("repeats", [1, 3, 10])
+    @pytest.mark.parametrize("panel", [1 << 24, 60])
+    def test_matches_per_repeat_builder(self, monkeypatch, repeats, panel):
+        # S*N = 30 rows of R in blocks of 4 rows (the last has 2); a 60-entry
+        # panel holds 12 averaged rows (3 panels, the last ragged) or one
+        # block of per-repeat rows
+        _small_blocks(monkeypatch, 20, panel)
+        vs = _views(np.random.default_rng(12))
+        cfg = SketchConfig(n_h=5, seed=8, repeats=repeats)
+        old = _old_products(vs, cfg)
+        avg = build_dictionary(vs, cfg).h
+        assert _max_rel(avg, np.mean(old, axis=0)) < 1e-12
+        singles = build_dictionaries(
+            vs, SketchConfig(n_h=5, seed=8, repeats=repeats,
+                             average_mode="scores"))
+        assert len(singles) == repeats
+        for d, h in zip(singles, old):
+            assert _max_rel(d.h, h) < 1e-12
+
+    def test_blocks_consume_the_stream_of_one_draw(self):
+        # n_h = 1024 gives 256-row blocks at the real block size, so
+        # S*N = 1100 takes 5 blocks (the last of 76 rows) in one panel; each
+        # repeat's panel is then exactly its jlt_matrix
+        rng = np.random.default_rng(13)
+        cubes = tuple(HyperCube(2, 22, 25, rng.standard_normal(1100))
+                      for _ in range(2))
+        vs = ViewSet(cubes)
+        cfg = SketchConfig(n_h=1024, seed=5, repeats=3,
+                           average_mode="scores")
+        for d, h in zip(build_dictionaries(vs, cfg), _old_products(vs, cfg)):
+            assert np.array_equal(d.h, h)
+
+    @pytest.mark.parametrize("average", [True, False])
+    def test_bit_identical_for_any_worker_count(self, monkeypatch, average):
+        _small_blocks(monkeypatch, 20, 60)
+        vs = _views(np.random.default_rng(14))
+        cfg = SketchConfig(n_h=5, seed=2, repeats=4,
+                           average_mode="dictionary" if average else "scores")
+        results = []
+        for workers in (1, 2, cfg.repeats):
+            monkeypatch.setattr(sketch, "_draw_workers", lambda r, w=workers: w)
+            results.append(sketch._sketch(vs, cfg, average))
+        assert all(np.array_equal(r, results[0]) for r in results[1:])
+
+    def test_draw_workers_bounded_by_repeats(self):
+        assert sketch._draw_workers(1) == 1
+        assert 1 <= sketch._draw_workers(64) <= 64

@@ -245,6 +245,17 @@ class TestResiduals:
         h = np.zeros((3, 2))
         assert residuals(state, xs, h) == (0.0, 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("block,nan_gaps", [
+        ("c", (0, 2, 3)), ("d", (0, 2)), ("e", (0, 1)),
+    ])
+    def test_nan_state_gives_nan_residual(self, block, nan_gaps):
+        rng = np.random.default_rng(22)
+        xs, h, state = random_instance(rng)
+        target = state.c if block == "c" else getattr(state, block)[1]
+        target[0, 0] = np.nan
+        r = residuals(state, xs, h)
+        assert [i for i in range(4) if np.isnan(r[i])] == list(nan_gaps)
+
     def test_c_perturbation_moves_cj_residual(self):
         rng = np.random.default_rng(21)
         xs, h, state = random_instance(rng)
@@ -390,11 +401,23 @@ class TestSolve:
             solve([np.zeros((4, 5)), np.zeros((4, 5))], np.zeros((3, 2)),
                   SolverConfig())
 
-    def test_non_finite_state_reports_block(self):
-        state = init_state(1, 2, 2, 2, mu0=1.0)
-        state.e[0][0, 0] = np.nan
-        with pytest.raises(SolverError, match="E"):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name,get", [
+        ("C", lambda st: st.c), ("D", lambda st: st.d[1]),
+        ("E", lambda st: st.e[0]), ("Y2", lambda st: st.y2[1]),
+    ])
+    def test_non_finite_state_reports_block(self, name, get, value):
+        state = init_state(2, 2, 3, 2, mu0=1.0)
+        solver_mod._check_finite(state, iteration=2)
+        get(state).flat[-1] = value
+        with pytest.raises(SolverError, match=f"in {name} at iteration 3"):
             solver_mod._check_finite(state, iteration=3)
+
+    def test_large_finite_state_passes(self):
+        # the squared norm of C overflows, but every entry is finite
+        state = init_state(2, 2, 3, 2, mu0=1.0)
+        state.c[:] = 1e300
+        solver_mod._check_finite(state, iteration=1)
 
     def test_trace_csv(self, tmp_path):
         rng = np.random.default_rng(25)
