@@ -401,17 +401,19 @@ class TestSolve:
             solve([np.zeros((4, 5)), np.zeros((4, 5))], np.zeros((3, 2)),
                   SolverConfig())
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name,get", [
-        ("C", lambda st: st.c), ("D", lambda st: st.d[1]),
-        ("E", lambda st: st.e[0]), ("Y2", lambda st: st.y2[1]),
-    ])
-    def test_non_finite_state_reports_block(self, name, get, value):
-        state = init_state(2, 2, 3, 2, mu0=1.0)
-        solver_mod._check_finite(state, iteration=2)
-        get(state).flat[-1] = value
-        with pytest.raises(SolverError, match=f"in {name} at iteration 3"):
-            solver_mod._check_finite(state, iteration=3)
+    def test_non_finite_state_reports_block(self):
+        blocks = [
+            ("C", lambda st: st.c), ("D", lambda st: st.d[1]),
+            ("E", lambda st: st.e[0]), ("Y2", lambda st: st.y2[1]),
+        ]
+        for name, get in blocks:
+            for value in (np.nan, np.inf, -np.inf):
+                state = init_state(2, 2, 3, 2, mu0=1.0)
+                solver_mod._check_finite(state, iteration=2)
+                get(state).flat[-1] = value
+                with pytest.raises(SolverError,
+                                   match=f"in {name} at iteration 3"):
+                    solver_mod._check_finite(state, iteration=3)
 
     def test_large_finite_state_passes(self):
         # the squared norm of C overflows, but every entry is finite
