@@ -18,64 +18,62 @@ import os
 import sys
 import time
 
-from . import baselines, cube, evaluate, solver
+from . import baselines, cube, solver
 from .detector import DetectorConfig, detect_with_result
-from .evaluate import SynthSpec, apply_params, roc, synth_scene, sweep, \
-    write_roc_csv, write_sweep_csv
-from .sketch import SketchConfig
-from .solver import SolverConfig
+from .evaluate import DETECTOR_PARAMS, SWEEP_PARAMS, SynthSpec, \
+    apply_params, configure, roc, synth_scene, sweep, write_roc_csv, \
+    write_sweep_csv
+from .sketch import AVERAGE_MODES
 
-_DEFAULTS = {"sketch": SketchConfig(), "solver": SolverConfig()}
-# sweep parameters whose default is an integer take integer grid values
-_INT_PARAMS = {
-    name for name, (group, fld) in evaluate._PARAM_MAP.items()
-    if isinstance(getattr(_DEFAULTS[group], fld), int)
+# synth flag -> SynthSpec field
+_SYNTH_FLAGS = {
+    "--height": "height", "--width": "width", "--bands": "bands",
+    "--views": "views", "--endmembers": "n_endmembers",
+    "--anomalies": "n_anomalies", "--magnitude": "anomaly_magnitude",
+    "--noise": "noise_sigma", "--seed": "seed",
 }
+
+
+def _default(group: str, fld: str):
+    return getattr(getattr(DetectorConfig(), group), fld)
+
+
+# sweep parameters whose default is an integer take integer grid values
+_INT_PARAMS = {name for name, (group, fld) in SWEEP_PARAMS.items()
+               if isinstance(_default(group, fld), int)}
 
 
 class UsageError(ValueError):
     """Invalid arguments or configuration (exit code 2)."""
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda1", type=float, default=1.0)
-    p.add_argument("--lambda2", type=float, default=10.0)
-    p.add_argument("--lambda3", type=float, default=10.0)
-    p.add_argument("--max-iter", type=int, default=60)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--mu0", type=float, default=1e-5)
-    p.add_argument("--mu-max", type=float, default=1e5)
-    p.add_argument("--rho", type=float, default=1.1)
+def _dest(flag: str) -> str:
+    """The argparse attribute a --long-flag is stored under."""
+    return flag[2:].replace("-", "_")
 
 
-def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sketch-size", type=int, default=500)
-    p.add_argument("--sketch-repeats", type=int, default=10)
-    p.add_argument("--sketch-average", choices=("dictionary", "scores"),
-                   default="dictionary")
-    p.add_argument("--seed", type=int, default=0)
+def _add_detector_flags(p: argparse.ArgumentParser) -> None:
+    for _, flag, group, fld in DETECTOR_PARAMS:
+        default = _default(group, fld)
+        choices = AVERAGE_MODES if fld == "average_mode" else None
+        p.add_argument(flag, type=type(default), default=default,
+                       choices=choices)
 
 
 def _detector_config(args) -> DetectorConfig:
     try:
-        return DetectorConfig(
-            sketch=SketchConfig(
-                n_h=args.sketch_size,
-                seed=args.seed,
-                repeats=args.sketch_repeats,
-                average_mode=args.sketch_average,
-            ),
-            solver=SolverConfig(
-                lambda1=args.lambda1,
-                lambda2=args.lambda2,
-                lambda3=args.lambda3,
-                mu0=args.mu0,
-                mu_max=args.mu_max,
-                rho=args.rho,
-                max_iter=args.max_iter,
-                epsilon=args.eps,
-            ),
-        )
+        return configure(DetectorConfig(), {
+            (group, fld): getattr(args, _dest(flag))
+            for _, flag, group, fld in DETECTOR_PARAMS
+        })
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _synth_spec(args) -> SynthSpec:
+    try:
+        return SynthSpec(**{fld: getattr(args, _dest(flag))
+                            for flag, fld in _SYNTH_FLAGS.items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -182,15 +180,7 @@ def cmd_eval(args, argv) -> int:
 
 
 def cmd_synth(args, argv) -> int:
-    try:
-        spec = SynthSpec(
-            height=args.height, width=args.width, bands=args.bands,
-            views=args.views, n_endmembers=args.endmembers,
-            n_anomalies=args.anomalies, anomaly_magnitude=args.magnitude,
-            noise_sigma=args.noise, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = _synth_spec(args)
     views, mask = synth_scene(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = []
@@ -281,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cubes", nargs="+", help="2+ cube header files, in time order")
     p.add_argument("--out", required=True, help="output scores header path")
     p.add_argument("--trace", default=None, help="per-iteration residual CSV")
-    _add_sketch_flags(p)
-    _add_solver_flags(p)
+    _add_detector_flags(p)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("baseline", help="run a classical detector")
@@ -300,15 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scene + mask")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--bands", type=int, default=16)
-    p.add_argument("--views", type=int, default=2)
-    p.add_argument("--endmembers", type=int, default=4)
-    p.add_argument("--anomalies", type=int, default=20)
-    p.add_argument("--magnitude", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    for flag, fld in _SYNTH_FLAGS.items():
+        default = getattr(SynthSpec(), fld)
+        p.add_argument(flag, type=type(default), default=default)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sweep", help="grid-evaluate detector parameters")
@@ -318,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='e.g. "lambda2=0.1,1,10;lambda3=0.1,1,10"')
     p.add_argument("--out", required=True, help="sweep results CSV path")
     p.add_argument("--jobs", type=int, default=1)
-    _add_sketch_flags(p)
-    _add_solver_flags(p)
+    _add_detector_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("rerun", help="replay a command from its manifest")

@@ -10,7 +10,7 @@ import numpy as np
 from .cube import DetectionMap, ViewSet
 from .sketch import SketchConfig, SketchedDictionary, build_dictionaries, \
     build_dictionary
-from .solver import SolveResult, SolverConfig, solve
+from .solver import SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,6 @@ def score_multiview(h, d: list, e: list, height: int, width: int) -> DetectionMa
     return DetectionMap(height, width, total)
 
 
-def _score_solution(h, result: SolveResult, height: int, width: int) -> DetectionMap:
-    return score_multiview(h, result.state.d, result.state.e, height, width)
-
-
 def detect(views: ViewSet, cfg: DetectorConfig = DetectorConfig()) -> DetectionMap:
     """Full pipeline. average_mode="dictionary" averages the sketched
     dictionaries and runs one solve; "scores" runs one solve per repeat and
@@ -73,12 +69,12 @@ def detect_with_result(views: ViewSet, cfg: DetectorConfig):
     convergence reporting."""
     height, width = views.height, views.width
     if cfg.sketch.average_mode == "scores":
-        maps = []
-        result = None
-        for h in build_dictionaries(views, cfg.sketch):
-            result = solve(views, h, cfg.solver)
-            maps.append(_score_solution(h, result, height, width).scores)
-        return DetectionMap(height, width, np.mean(maps, axis=0)), result
-    h = build_dictionary(views, cfg.sketch)
-    result = solve(views, h, cfg.solver)
-    return _score_solution(h, result, height, width), result
+        dictionaries = build_dictionaries(views, cfg.sketch)
+    else:
+        dictionaries = [build_dictionary(views, cfg.sketch)]
+    maps = []
+    for h in dictionaries:
+        result = solve(views, h, cfg.solver)
+        maps.append(score_multiview(h, result.state.d, result.state.e,
+                                    height, width).scores)
+    return DetectionMap(height, width, np.mean(maps, axis=0)), result

@@ -121,38 +121,44 @@ def synth_scene(spec: SynthSpec):
     return ViewSet(tuple(cubes)), GroundTruthMask(spec.height, spec.width, labels)
 
 
-# sweepable parameter -> (sub-config attribute, field name)
-_PARAM_MAP = {
-    "lambda1": ("solver", "lambda1"),
-    "lambda2": ("solver", "lambda2"),
-    "lambda3": ("solver", "lambda3"),
-    "mu0": ("solver", "mu0"),
-    "mu_max": ("solver", "mu_max"),
-    "rho": ("solver", "rho"),
-    "max_iter": ("solver", "max_iter"),
-    "epsilon": ("solver", "epsilon"),
-    "sketch_size": ("sketch", "n_h"),
-    "seed": ("sketch", "seed"),
-    "repeats": ("sketch", "repeats"),
-}
+# Each detector parameter once: (sweep name or None, CLI flag, DetectorConfig
+# attribute, field). The detect/sweep flags, their defaults, the config the
+# CLI builds and the sweep grid's names all come from this table.
+DETECTOR_PARAMS = (
+    ("sketch_size", "--sketch-size", "sketch", "n_h"),
+    ("repeats", "--sketch-repeats", "sketch", "repeats"),
+    (None, "--sketch-average", "sketch", "average_mode"),
+    ("seed", "--seed", "sketch", "seed"),
+    ("lambda1", "--lambda1", "solver", "lambda1"),
+    ("lambda2", "--lambda2", "solver", "lambda2"),
+    ("lambda3", "--lambda3", "solver", "lambda3"),
+    ("max_iter", "--max-iter", "solver", "max_iter"),
+    ("epsilon", "--eps", "solver", "epsilon"),
+    ("mu0", "--mu0", "solver", "mu0"),
+    ("mu_max", "--mu-max", "solver", "mu_max"),
+    ("rho", "--rho", "solver", "rho"),
+)
+# sweep name -> (DetectorConfig attribute, field)
+SWEEP_PARAMS = {name: (group, fld)
+                for name, _, group, fld in DETECTOR_PARAMS if name}
+
+
+def configure(cfg: DetectorConfig, fields: dict) -> DetectorConfig:
+    """New DetectorConfig with {(attribute, field): value} overridden."""
+    groups = {"sketch": {}, "solver": {}}
+    for (group, fld), value in fields.items():
+        groups[group][fld] = value
+    return DetectorConfig(**{group: replace(getattr(cfg, group), **over)
+                             for group, over in groups.items()})
 
 
 def apply_params(cfg: DetectorConfig, params: dict) -> DetectorConfig:
-    """New DetectorConfig with the named parameters overridden."""
-    solver_over = {}
-    sketch_over = {}
-    for name, value in params.items():
-        if name not in _PARAM_MAP:
+    """New DetectorConfig with the named sweep parameters overridden."""
+    for name in params:
+        if name not in SWEEP_PARAMS:
             raise ValueError(f"unknown sweep parameter {name!r}")
-        group, fld = _PARAM_MAP[name]
-        if group == "solver":
-            solver_over[fld] = value
-        else:
-            sketch_over[fld] = value
-    return DetectorConfig(
-        sketch=replace(cfg.sketch, **sketch_over),
-        solver=replace(cfg.solver, **solver_over),
-    )
+    return configure(cfg, {SWEEP_PARAMS[name]: value
+                           for name, value in params.items()})
 
 
 def sweep(views: ViewSet, mask: GroundTruthMask, base_cfg: DetectorConfig,

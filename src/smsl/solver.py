@@ -14,11 +14,11 @@ gives G = U diag(g) U' with U of shape n_h x r, and the Woodbury identity
 turns every C and D solve into products with U. C, J and Y4 start at zero
 and never leave range(U), so solve() thresholds the r x N matrix
 U'(C + Y4/mu) instead of the n_h x N one. Both savings vanish when
-n_h <= L+1, where r = n_h. The SVT is skipped outright whenever
-||C + Y4/mu||_F <= lambda1/mu, which under the default schedule holds at
-every iteration of the synthetic benchmark scenes. The feasibility gaps
-are formed once per iteration and feed both the residuals and the dual
-ascent.
+n_h <= L+1, where r = n_h. The SVT and both products with U are skipped
+whenever ||C + Y4/mu||_F <= lambda1/mu, which under the default schedule
+holds at every iteration of the synthetic benchmark scenes. The
+feasibility gaps are formed once per iteration and feed both the
+residuals and the dual ascent.
 """
 
 from __future__ import annotations
@@ -292,8 +292,14 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
         state.iteration = it
         mu = state.mu
         state.c = _gram_solve(basis, 1.0, n_views, _c_rhs(state, xs, hmat))
-        # C + Y4/mu lies in range(U), so its SVT is U svt(U'(C + Y4/mu))
-        state.j = u @ svt(u.T @ (state.c + state.y4 / mu), cfg.lambda1 / mu)
+        # M = C + Y4/mu lies in range(U), so its SVT is U svt(U'M), and
+        # ||U'M||_F = ||M||_F: at or below the threshold J is zero
+        m = state.c + state.y4 / mu
+        if np.linalg.norm(m) <= cfg.lambda1 / mu:
+            state.j = np.zeros(m.shape)
+        else:
+            state.j = u @ svt(u.T @ m, cfg.lambda1 / mu)
+        del m
         for s in range(n_views):
             state.d[s] = np.maximum(
                 _gram_solve(basis, cfg.lambda2, mu,

@@ -11,6 +11,7 @@ import pytest
 from smsl import cli, cube
 from smsl.cli import main, parse_grid
 from smsl.cube import load_scores, save_cube, save_mask
+from smsl.detector import DetectorConfig
 from smsl.evaluate import SynthSpec, synth_scene
 
 
@@ -35,6 +36,21 @@ def detect_args(scene, out, extra=()):
             "--max-iter", "15", *extra]
 
 
+class TestDefaults:
+    @pytest.mark.parametrize("argv", [
+        ["detect", "A", "B", "--out", "O"],
+        ["sweep", "A", "B", "--mask", "M", "--grid", "lambda2=1",
+         "--out", "O"],
+    ], ids=["detect", "sweep"])
+    def test_detector_flags_default_to_library(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._detector_config(args) == DetectorConfig()
+
+    def test_synth_flags_default_to_library(self):
+        args = cli.build_parser().parse_args(["synth", "--out-dir", "D"])
+        assert cli._synth_spec(args) == SynthSpec()
+
+
 class TestDetect:
     def test_produces_scores_and_manifest(self, scene, tmp_path):
         out = str(tmp_path / "scores.hdr")
@@ -45,6 +61,10 @@ class TestDetect:
         manifest = json.loads((tmp_path / "scores.hdr.manifest.json").read_text())
         assert manifest["command"] == "detect"
         assert manifest["params"]["seed"] == 0
+        assert sorted(manifest["params"]) == [
+            "command", "eps", "lambda1", "lambda2", "lambda3", "max_iter",
+            "mu0", "mu_max", "rho", "seed", "sketch_average",
+            "sketch_repeats", "sketch_size"]
         assert "convergence" in manifest
         assert open(trace).readline().startswith("iteration,")
 

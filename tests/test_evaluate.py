@@ -1,11 +1,15 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from smsl.baselines import rx_difference
 from smsl.cube import DetectionMap, GroundTruthMask
 from smsl.detector import DetectorConfig, detect
-from smsl.evaluate import (RocCurve, SynthSpec, apply_params, roc, sweep,
-                           synth_scene, write_roc_csv, write_sweep_csv)
+from smsl.evaluate import (SWEEP_PARAMS, RocCurve, SynthSpec, apply_params,
+                           roc, sweep, synth_scene, write_roc_csv,
+                           write_sweep_csv)
 from smsl.sketch import SketchConfig
 from smsl.solver import SolverConfig
 
@@ -164,6 +168,12 @@ class TestSweep:
         cfg = apply_params(tiny_cfg(), {"lambda2": 3.0, "sketch_size": 42})
         assert cfg.solver.lambda2 == 3.0
         assert cfg.sketch.n_h == 42
+
+    def test_readme_lists_the_sweep_parameters(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = re.search(r"Sweepable parameters: `([^`]*)`", readme)
+        names = listed.group(1).split()
+        assert sorted(names) == sorted(SWEEP_PARAMS)
 
 
 class TestCsvWriters:

@@ -359,6 +359,24 @@ class TestSolve:
             assert_rel_close(got.e[s], ref.e[s], 1e-9)
         assert_rel_close(got.residual_history, ref.residual_history, 1e-9)
 
+    @pytest.mark.parametrize("cfg,svt_runs", [
+        (SolverConfig(), False),
+        (SolverConfig(lambda1=0.05, mu0=0.5, rho=1.3, max_iter=25), True),
+    ], ids=["defaults", "active_svt"])
+    def test_svt_runs_only_above_threshold(self, monkeypatch, cfg, svt_runs):
+        # below the threshold J is set to zero without svt and without the
+        # products with U
+        rng = np.random.default_rng(31)
+        xs = [rng.standard_normal((4, 30)) for _ in range(2)]
+        h = rng.standard_normal((4, 9))
+        calls = []
+        monkeypatch.setattr(solver_mod, "svt",
+                            lambda m, tau: calls.append(tau) or svt(m, tau))
+        result = solve(xs, h, cfg)
+        assert bool(calls) == svt_runs
+        if not svt_runs:
+            assert not result.state.j.any()
+
     def test_deterministic(self):
         rng = np.random.default_rng(22)
         xs = [rng.standard_normal((4, 30)) for _ in range(2)]
