@@ -21,8 +21,8 @@ import time
 from . import baselines, cube, solver
 from .detector import DetectorConfig, detect_with_result
 from .evaluate import DETECTOR_PARAMS, SWEEP_PARAMS, SynthSpec, \
-    apply_params, configure, roc, synth_scene, sweep, write_roc_csv, \
-    write_sweep_csv
+    apply_params, configure, grid_points, roc, synth_scene, sweep, \
+    write_roc_csv, write_sweep_csv
 from .sketch import AVERAGE_MODES
 
 # synth flag -> SynthSpec field
@@ -224,9 +224,10 @@ def cmd_sweep(args, argv) -> int:
         raise UsageError("--jobs must be >= 1")
     grid = parse_grid(args.grid)
     base_cfg = _detector_config(args)
+    # every point is checked before the first one is solved
     try:
-        for name in grid:
-            apply_params(base_cfg, {name: grid[name][0]})
+        for params in grid_points(grid):
+            apply_params(base_cfg, params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     views = _load_views(args.cubes)

@@ -32,7 +32,7 @@ def specific_part(h, d_s: np.ndarray) -> np.ndarray:
 
 def score_columns(h, d1, d2, e1, e2) -> np.ndarray:
     """Length-N score vector for one view pair."""
-    diff_specific = specific_part(h, d2) - specific_part(h, d1)
+    diff_specific = specific_part(h, np.asarray(d2) - np.asarray(d1))
     e1 = np.asarray(e1)
     e2 = np.asarray(e2)
     if e1.shape != e2.shape or e1.shape[1] != diff_specific.shape[1]:

@@ -161,19 +161,25 @@ def apply_params(cfg: DetectorConfig, params: dict) -> DetectorConfig:
                            for name, value in params.items()})
 
 
-def sweep(views: ViewSet, mask: GroundTruthMask, base_cfg: DetectorConfig,
-          grid: dict, jobs: int = 1) -> list:
-    """Evaluate detect() over the cartesian grid; rows in lexicographic order
-    of the (sorted) parameter names, values in the order listed. Grid points
-    are independent, so jobs > 1 evaluates them in a thread pool."""
+def grid_points(grid: dict) -> list:
+    """The cartesian grid as one {name: value} dict per point, in
+    lexicographic order of the (sorted) names and the listed value order."""
     if not grid:
         raise ValueError("sweep grid is empty")
     names = sorted(grid)
     for name in names:
         if not grid[name]:
             raise ValueError(f"sweep parameter {name!r} has no values")
-    points = [dict(zip(names, values))
-              for values in itertools.product(*(grid[name] for name in names))]
+    return [dict(zip(names, values))
+            for values in itertools.product(*(grid[name] for name in names))]
+
+
+def sweep(views: ViewSet, mask: GroundTruthMask, base_cfg: DetectorConfig,
+          grid: dict, jobs: int = 1) -> list:
+    """Evaluate detect() over the cartesian grid; rows in lexicographic order
+    of the (sorted) parameter names, values in the order listed. Grid points
+    are independent, so jobs > 1 evaluates them in a thread pool."""
+    points = grid_points(grid)
 
     def one(params):
         scores = detect(views, apply_params(base_cfg, params))

@@ -79,14 +79,18 @@ def jlt_matrix(n: int, n_h: int, seed: int) -> np.ndarray:
     return r
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _draw_workers(repeats: int) -> int:
     """Threads that draw the per-repeat blocks: one per repeat, at most one
     per CPU this process may run on."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(repeats, cpus)
+    return min(repeats, _available_cpus())
 
 
 def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:

@@ -16,20 +16,36 @@ and never leave range(U), so solve() thresholds the r x N matrix
 U'(C + Y4/mu) instead of the n_h x N one. Both savings vanish when
 n_h <= L+1, where r = n_h. The SVT and both products with U are skipped
 whenever ||C + Y4/mu||_F <= lambda1/mu, which under the default schedule
-holds at every iteration of the synthetic benchmark scenes. The
-feasibility gaps are formed once per iteration and feed both the
-residuals and the dual ascent.
+holds at every iteration of the synthetic benchmark scenes.
+
+Every step but J acts on each pixel column alone (ADMM split across
+examples), so an iteration is one kernel over blocks of at most
+_BLOCK_COLUMNS pixel columns. Pass A takes a block through C, then per
+view D^s, E^s, W^s and the ascent on Y1^s, Y2^s, Y3^s. It forms q_s =
+H'(X^s - E^s + Y1^s/mu) once per view for both the C and the D^s
+right-hand sides, and the data-fit gap reuses H(C + D^s) from the E step.
+J feeds none of these steps, so the calling thread decides it after pass
+A, from the block sums of ||C + Y4/mu||_F^2; pass B then takes the C-J gap
+and the ascent on Y4.
+The blocks run on min(blocks, CPUs // BLAS threads) threads, where the BLAS
+threads are the first of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS that is set (unset: all CPUs, so one thread). Block results
+are combined in block order, so the bits do not depend on the number of
+threads.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .cube import ViewSet
 from .prox import _SV_CUTOFF, l21_shrink, svt
-from .sketch import SketchedDictionary
+from .sketch import SketchedDictionary, _available_cpus
 
 
 class SolverError(RuntimeError):
@@ -116,49 +132,210 @@ def init_state(n_views: int, n_bands: int, n_pixels: int, n_h: int,
     )
 
 
-def _gram_basis(h: np.ndarray) -> tuple:
-    """Eigenpairs (U, g) of G = H'H + 11' from a thin SVD of [H', 1]:
-    G = U diag(g) U' with U of shape n_h x r and r <= min(n_h, L+1).
-    Singular values below prox._SV_CUTOFF of the largest are dropped."""
-    n_h = h.shape[1]
-    u, sv, _ = np.linalg.svd(np.hstack([h.T, np.ones((n_h, 1))]),
-                             full_matrices=False)
-    keep = sv > _SV_CUTOFF * sv[0]
-    return u[:, keep], sv[keep] ** 2
+class _Gram:
+    """G = H'H + 11' = U diag(g) U' of an L x n_h dictionary H, from one thin
+    SVD of [H', 1]: U is n_h x r with r <= min(n_h, L+1). Singular values
+    below prox._SV_CUTOFF of the largest are dropped. With r = n_h, G and
+    each inverse are applied as dense n_h x n_h matrices, which is cheaper
+    than two products with U; with r < n_h they go through U."""
+
+    def __init__(self, h: np.ndarray):
+        n_h = h.shape[1]
+        u, sv, _ = np.linalg.svd(np.hstack([h.T, np.ones((n_h, 1))]),
+                                 full_matrices=False)
+        keep = sv > _SV_CUTOFF * sv[0]
+        self.u, self.g = u[:, keep], sv[keep] ** 2
+        self.full = self.u.shape[1] == n_h
+        self.dense = (self.u * self.g) @ self.u.T if self.full else None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """G x."""
+        if self.full:
+            return self.dense @ x
+        return self.u @ (self.g[:, None] * (self.u.T @ x))
+
+    def inverse(self, a: float, b: float):
+        """The map x -> (a I + b G)^-1 x, by Woodbury when r < n_h, which
+        may overwrite x. Outside range(U) the system is a I, so a = 0 with
+        r < n_h is singular: LinAlgError."""
+        u = self.u
+        w = 1.0 / (a + b * self.g)
+        if self.full:
+            inv = (u * w) @ u.T
+            return lambda x: inv @ x
+        if a == 0:
+            raise np.linalg.LinAlgError(
+                f"singular system: G has rank {u.shape[1]} < {u.shape[0]} "
+                "and no ridge (lambda2 = 0 needs sketch size <= bands + 1)"
+            )
+        uw = u * (w - 1.0 / a)
+
+        def apply(x):
+            t = u.T @ x
+            x /= a
+            x += uw @ t
+            return x
+
+        return apply
 
 
-def _gram_solve(basis: tuple, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """(a I + b G)^-1 x for G = U diag(g) U' (Woodbury). Outside range(U)
-    the system is a I, so a = 0 with r < n_h is singular: LinAlgError."""
-    u, g = basis
-    w = 1.0 / (a + b * g)
-    if u.shape[1] == u.shape[0]:
-        return np.linalg.multi_dot([u * w, u.T, x])
-    if a == 0:
-        raise np.linalg.LinAlgError(
-            f"singular system: G has rank {u.shape[1]} < {u.shape[0]} "
-            "and no ridge (lambda2 = 0 needs sketch size <= bands + 1)"
-        )
-    return x / a + np.linalg.multi_dot([u * (w - 1.0 / a), u.T, x])
+# pixel columns per block of an iteration: a block's n_h x 512 float64
+# temporaries (2 MB at n_h = 500) stay in cache from one step to the next
+_BLOCK_COLUMNS = 512
+# glibc returns the free memory at the top of its heap to the system once it
+# exceeds twice the largest mapping freed so far, which in a solve of a small
+# scene is J (n_h x N, reallocated every iteration). A block holds about 7
+# n_h x k temporaries at its peak, which stay below that with k <= N/5;
+# larger blocks faulted their memory back in after every block, which made
+# an iteration at N = 1000 about 30% slower.
+_MIN_BLOCKS = 5
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_ALL = slice(None)
 
 
-def _c_rhs(state: SolverState, xs: list, h: np.ndarray) -> np.ndarray:
+def _column_blocks(n_pixels: int) -> list:
+    """Slices of _BLOCK_COLUMNS columns, or of a _MIN_BLOCKS-th of the
+    columns when that is fewer; the last may be narrower."""
+    width = min(_BLOCK_COLUMNS, -(-n_pixels // _MIN_BLOCKS))
+    return [slice(a, a + width) for a in range(0, n_pixels, width)]
+
+
+def _block_workers(n_blocks: int) -> int:
+    """Threads that run the column blocks: the CPUs this process may run on,
+    divided by the threads each BLAS call takes (the first thread variable
+    that is set; unset means all CPUs), at most one per block."""
+    cpus = _available_cpus()
+    value = next((v for v in map(os.environ.get, _THREAD_VARS) if v), "")
+    threads = int(value) if value.strip().isdigit() else 0
+    return max(1, min(n_blocks, cpus // (threads if threads > 0 else cpus)))
+
+
+def _q_block(h, state, x, s, cols) -> np.ndarray:
+    """H'(x_s - E^s + Y1^s/mu): the data term of both the C and the D^s
+    right-hand sides, which E^s and Y1^s leave unchanged in between."""
+    t = x[:, cols] - state.e[s][:, cols]
+    t += state.y1[s][:, cols] / state.mu
+    return h.T @ t
+
+
+def _c_block(gram, inv_c, state, qs, cols) -> np.ndarray:
+    """C from A C = B, A = I + S G and B = J - Y4/mu + sum_s (q_s - G D^s
+    - 1(1 - Y2^s/mu)')."""
     mu = state.mu
-    n_h = h.shape[1]
-    b = state.j - state.y4 / mu
+    b = state.y4[:, cols] / -mu
+    b += state.j[:, cols]
+    for q in qs:
+        b += q
+    dsum = state.d[0][:, cols].copy()
+    row = 1.0 - state.y2[0][cols] / mu
+    for s in range(1, len(qs)):
+        dsum += state.d[s][:, cols]
+        row += 1.0 - state.y2[s][cols] / mu
+    b -= gram(dsum)
+    b += row
+    return inv_c(b)
+
+
+def _d_block(inv_d, state, q, gc, s, cols, lambda3, out=None) -> np.ndarray:
+    """D^s from (lambda2 I + mu G) D = mu (q_s - G C) + 1(mu - Y2^s)'
+    - lambda3 sum_{t != s} |D^t|, clipped to be nonnegative (into out)."""
+    mu = state.mu
+    rhs = q - gc
+    rhs *= mu
+    rhs += mu - state.y2[s][cols]
+    for t, d in enumerate(state.d):
+        if t != s:
+            penalty = np.abs(d[:, cols])
+            penalty *= lambda3
+            rhs -= penalty
+    return np.maximum(inv_d(rhs), 0.0, out=out)
+
+
+def _e_block(h, state, x, s, cols, out=None) -> tuple:
+    """(E^s, C + D^s, X^s - H(C + D^s)): the stationary point of the two
+    quadratic penalties tied to E^s (into out), and the terms the gaps
+    reuse."""
+    mu = state.mu
+    cd = state.c[:, cols] + state.d[s][:, cols]
+    fit = x[:, cols] - h @ cd
+    y_mu = state.y1[s][:, cols] / mu
+    e = np.add(fit, y_mu, out=out)
+    e += state.w[s][:, cols]
+    e -= np.divide(state.y3[s][:, cols], mu, out=y_mu)
+    e *= 0.5
+    return e, cd, fit
+
+
+def _w_block(state, s, cols) -> np.ndarray:
+    """l2,1 shrinkage of E^s + Y3^s/mu at 1/mu (columnwise)."""
+    mu = state.mu
+    q = state.y3[s][:, cols] / mu
+    q += state.e[s][:, cols]
+    return l21_shrink(q, 1.0 / mu)
+
+
+def _max_abs(a) -> float:
+    """max |a| without an |a| copy; NaN if a holds one."""
+    return float(np.maximum(a.max(), -a.min()))
+
+
+def _use(gap, y, ascend, mu) -> float:
+    """Max-abs of a gap; with ascend, also y += mu gap (in place)."""
+    r = _max_abs(gap)
+    if ascend:
+        gap *= mu
+        y += gap
+    return r
+
+
+def _gap_block(state, s, cd, fit, cols, ascend) -> tuple:
+    """Max-abs data-fit, E-W and column-sum gaps of view s, each driving
+    the ascent on its multiplier with ascend. Consumes fit = X^s - H(C +
+    D^s)."""
+    mu = state.mu
+    fit -= state.e[s][:, cols]
+    return (_use(fit, state.y1[s][:, cols], ascend, mu),
+            _use(state.e[s][:, cols] - state.w[s][:, cols],
+                 state.y3[s][:, cols], ascend, mu),
+            _use(cd.sum(axis=0) - 1.0, state.y2[s][cols], ascend, mu))
+
+
+def _cj_block(state, cols, ascend, j_zero=False) -> float:
+    """Max-abs C-J gap, with ascend also the ascent on Y4."""
+    gap = state.c[:, cols] if j_zero else state.c[:, cols] - state.j[:, cols]
+    r = _max_abs(gap)
+    if ascend:
+        state.y4[:, cols] += state.mu * gap
+    return r
+
+
+def _pass_a(h, xs, gram, inv_c, inv_d, state, lambda3, cols) -> tuple:
+    """C, then D^s, E^s, W^s and the ascent on Y1^s, Y2^s, Y3^s view by
+    view, on one block of columns. Returns (||C + Y4/mu||_F^2, r1, r2, r3)
+    over the block."""
+    qs = [_q_block(h, state, x, s, cols) for s, x in enumerate(xs)]
+    c = state.c[:, cols] = _c_block(gram, inv_c, state, qs, cols)
+    gc = gram(c)
+    r = np.zeros(3)
     for s, x in enumerate(xs):
-        b += h.T @ (x - h @ state.d[s] - state.e[s] + state.y1[s] / mu)
-        row = state.d[s].sum(axis=0) - 1.0 + state.y2[s] / mu
-        b -= np.broadcast_to(row, (n_h, len(row)))
-    return b
+        _d_block(inv_d, state, qs[s], gc, s, cols, lambda3,
+                 out=state.d[s][:, cols])
+        _, cd, fit = _e_block(h, state, x, s, cols, out=state.e[s][:, cols])
+        state.w[s][:, cols] = _w_block(state, s, cols)
+        # np.maximum keeps a NaN gap; the builtin max(0.0, nan) drops it
+        r = np.maximum(r, _gap_block(state, s, cd, fit, cols, True))
+    m = state.y4[:, cols] / state.mu
+    m += c
+    return (float(np.vdot(m, m)), *r)
 
 
 def update_c(state: SolverState, views, h) -> np.ndarray:
     """Least-squares block for C: solve A C = B, A = S H'H + S 11' + I."""
     hmat = _as_h(h)
     xs = _as_matrices(views)
-    return _gram_solve(_gram_basis(hmat), 1.0, len(xs),
-                       _c_rhs(state, xs, hmat))
+    gram = _Gram(hmat)
+    qs = [_q_block(hmat, state, x, s, _ALL) for s, x in enumerate(xs)]
+    return _c_block(gram, gram.inverse(1.0, len(xs)), state, qs, _ALL)
 
 
 def update_j(state: SolverState, cfg: SolverConfig) -> np.ndarray:
@@ -166,79 +343,41 @@ def update_j(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     return svt(state.c + state.y4 / state.mu, cfg.lambda1 / state.mu)
 
 
-def _d_rhs(state: SolverState, xs: list, h: np.ndarray, s: int,
-           cfg: SolverConfig) -> np.ndarray:
-    mu = state.mu
-    n_h = h.shape[1]
-    rhs = -cfg.lambda3 * sum(
-        np.abs(state.d[t]) for t in range(len(xs)) if t != s
-    )
-    if np.isscalar(rhs):  # S == 1: empty sum
-        rhs = np.zeros_like(state.c)
-    rhs = rhs + mu * (h.T @ (xs[s] - h @ state.c - state.e[s] + state.y1[s] / mu))
-    row = mu * (state.c.sum(axis=0) - 1.0) + state.y2[s]
-    rhs -= np.broadcast_to(row, (n_h, len(row)))
-    return rhs
-
-
 def update_d(state: SolverState, views, h, s: int,
              cfg: SolverConfig) -> np.ndarray:
     """Ridge solve for view s's specific block, clipped to be nonnegative."""
     hmat = _as_h(h)
     xs = _as_matrices(views)
-    sol = _gram_solve(_gram_basis(hmat), cfg.lambda2, state.mu,
-                      _d_rhs(state, xs, hmat, s, cfg))
-    return np.maximum(sol, 0.0)
+    gram = _Gram(hmat)
+    return _d_block(gram.inverse(cfg.lambda2, state.mu), state,
+                    _q_block(hmat, state, xs[s], s, _ALL), gram(state.c), s,
+                    _ALL, cfg.lambda3)
 
 
 def update_e(state: SolverState, views, h, s: int) -> np.ndarray:
     """Stationary point of the two quadratic penalties tied to E^s."""
-    hmat = _as_h(h)
-    xs = _as_matrices(views)
-    mu = state.mu
-    return 0.5 * (
-        xs[s] - hmat @ (state.c + state.d[s]) + state.y1[s] / mu
-        + state.w[s] - state.y3[s] / mu
-    )
+    return _e_block(_as_h(h), state, _as_matrices(views)[s], s, _ALL)[0]
 
 
 def update_w(state: SolverState, s: int) -> np.ndarray:
     """Column-sparse auxiliary: l2,1 shrinkage of E^s + Y3^s/mu at 1/mu."""
-    return l21_shrink(state.e[s] + state.y3[s] / state.mu, 1.0 / state.mu)
+    return _w_block(state, s, _ALL)
 
 
 def _feasibility_step(state: SolverState, xs: list, h: np.ndarray,
                       cfg: SolverConfig | None = None) -> tuple:
     """Max-abs feasibility gaps (data fit, E-W, column sums, C-J). With a
     cfg, each gap also drives the dual ascent on its multiplier, in place,
-    and mu then grows (capped at mu_max). Each gap is formed once and
-    dropped after use."""
-    mu = state.mu
-
-    def use(gap, y, r):
-        # np.maximum keeps a NaN gap; the builtin max(0.0, nan) drops it
-        r = float(np.maximum(r, np.abs(gap).max()))
-        if cfg is not None:
-            gap *= mu
-            y += gap
-        return r
-
-    r1 = r2 = r3 = 0.0
+    and mu then grows (capped at mu_max)."""
+    ascend = cfg is not None
+    r = np.zeros(3)
     for s, x in enumerate(xs):
         cd = state.c + state.d[s]
-        gap3 = cd.sum(axis=0) - 1.0
-        gap1 = h @ cd
-        del cd
-        np.subtract(x, gap1, out=gap1)
-        gap1 -= state.e[s]
-        r1 = use(gap1, state.y1[s], r1)
-        del gap1
-        r2 = use(state.e[s] - state.w[s], state.y3[s], r2)
-        r3 = use(gap3, state.y2[s], r3)
-    r4 = use(state.c - state.j, state.y4, 0.0)
-    if cfg is not None:
-        state.mu = min(cfg.rho * mu, cfg.mu_max)
-    return r1, r2, r3, r4
+        r = np.maximum(r, _gap_block(state, s, cd, x - h @ cd, _ALL, ascend))
+    r4 = _cj_block(state, _ALL, ascend)
+    if ascend:
+        state.mu = min(cfg.rho * state.mu, cfg.mu_max)
+    return (*map(float, r), r4)
 
 
 def update_multipliers(state: SolverState, views, h,
@@ -283,38 +422,41 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
         )
 
     state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0)
-    basis = _gram_basis(hmat)
-    u = basis[0]
+    gram = _Gram(hmat)
+    inv_c = gram.inverse(1.0, n_views)
+    blocks = _column_blocks(n_pixels)
+    workers = _block_workers(len(blocks))
 
     converged = False
     trace = []
-    for it in range(1, cfg.max_iter + 1):
-        state.iteration = it
-        mu = state.mu
-        state.c = _gram_solve(basis, 1.0, n_views, _c_rhs(state, xs, hmat))
-        # M = C + Y4/mu lies in range(U), so its SVT is U svt(U'M), and
-        # ||U'M||_F = ||M||_F: at or below the threshold J is zero
-        m = state.c + state.y4 / mu
-        if np.linalg.norm(m) <= cfg.lambda1 / mu:
-            state.j = np.zeros(m.shape)
-        else:
-            state.j = u @ svt(u.T @ m, cfg.lambda1 / mu)
-        del m
-        for s in range(n_views):
-            state.d[s] = np.maximum(
-                _gram_solve(basis, cfg.lambda2, mu,
-                            _d_rhs(state, xs, hmat, s, cfg)), 0.0
-            )
-            state.e[s] = update_e(state, xs, hmat, s)
-            state.w[s] = update_w(state, s)
-
-        r = _feasibility_step(state, xs, hmat, cfg)
-        _check_finite(state, it)
-        state.residual_history.append(max(r))
-        trace.append((it, *r, mu))
-        if max(r) < cfg.epsilon:
-            converged = True
-            break
+    with ThreadPoolExecutor(workers) as pool:
+        run = pool.map if workers > 1 else map
+        for it in range(1, cfg.max_iter + 1):
+            state.iteration = it
+            mu = state.mu
+            inv_d = gram.inverse(cfg.lambda2, mu)
+            parts = list(run(partial(_pass_a, hmat, xs, gram, inv_c, inv_d,
+                                     state, cfg.lambda3), blocks))
+            # M = C + Y4/mu lies in range(U), so its SVT is U svt(U'M), and
+            # ||U'M||_F = ||M||_F: at or below the threshold J is zero. The
+            # block sums are added in block order, whatever the workers.
+            tau = cfg.lambda1 / mu
+            j_zero = np.sqrt(sum(p[0] for p in parts)) <= tau
+            if j_zero:
+                state.j = np.zeros((n_h, n_pixels))
+            else:
+                u = gram.u
+                state.j = u @ svt(u.T @ (state.c + state.y4 / mu), tau)
+            r4 = float(np.max(list(run(partial(
+                _cj_block, state, ascend=True, j_zero=j_zero), blocks))))
+            r = (*map(float, np.max([p[1:] for p in parts], axis=0)), r4)
+            state.mu = min(cfg.rho * mu, cfg.mu_max)
+            _check_finite(state, it)
+            state.residual_history.append(max(r))
+            trace.append((it, *r, mu))
+            if max(r) < cfg.epsilon:
+                converged = True
+                break
 
     return SolveResult(
         state=state,

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smsl import cli, cube
+from smsl import cli, cube, evaluate
 from smsl.cli import main, parse_grid
 from smsl.cube import load_scores, save_cube, save_mask
 from smsl.detector import DetectorConfig
@@ -271,6 +271,20 @@ class TestSweep:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_invalid_later_value_exit_2_before_any_solve(
+            self, scene, tmp_path, monkeypatch, capsys):
+        def detect(*args, **kwargs):
+            raise AssertionError("a grid point was solved")
+
+        monkeypatch.setattr(evaluate, "detect", detect)
+        out = tmp_path / "o.csv"
+        code = main(["sweep", *scene["cubes"], "--mask", scene["mask"],
+                     "--grid", "lambda2=1,10;max_iter=3000,0",
+                     "--out", str(out)])
+        assert code == 2
+        assert "max_iter" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_two_by_two_grid_rows(self, scene, tmp_path):
         out = str(tmp_path / "sweep.csv")

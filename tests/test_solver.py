@@ -1,4 +1,5 @@
 import copy
+import threading
 
 import numpy as np
 import pytest
@@ -337,15 +338,24 @@ def assert_rel_close(got, expected, rtol):
     assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
 
 
+ACTIVE_SVT = SolverConfig(lambda1=0.05, mu0=0.5, rho=1.3, max_iter=25)
+# near the threshold: whether J is zero depends on all blocks' sums
+EDGE_SVT = SolverConfig(lambda1=2.0, mu0=0.5, rho=1.3, max_iter=25)
+
+
 class TestSolve:
     @pytest.mark.parametrize("n_views", [2, 3])
-    @pytest.mark.parametrize("n_bands,n_h", [(4, 9), (8, 6)],
-                             ids=["rank_deficient", "full_rank"])
-    @pytest.mark.parametrize("cfg", [
-        SolverConfig(),
-        SolverConfig(lambda1=0.05, mu0=0.5, rho=1.3, max_iter=25),
-    ], ids=["defaults", "active_svt"])
-    def test_matches_block_function_loop(self, n_views, n_bands, n_h, cfg):
+    # multi_block: 30 columns in blocks of 4 (the last has 2)
+    @pytest.mark.parametrize("n_bands,n_h,block", [
+        (4, 9, None), (8, 6, None), (4, 9, 4),
+    ], ids=["rank_deficient", "full_rank", "multi_block"])
+    @pytest.mark.parametrize("cfg", [SolverConfig(), ACTIVE_SVT, EDGE_SVT],
+                             ids=["defaults", "active_svt", "edge_svt"])
+    def test_matches_block_function_loop(self, monkeypatch, n_views, n_bands,
+                                         n_h, block, cfg):
+        if block is not None:
+            monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", block)
+            monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 2)
         rng = np.random.default_rng(27 + n_views + n_h)
         xs = [rng.standard_normal((n_bands, 30)) for _ in range(n_views)]
         h = rng.standard_normal((n_bands, n_h))
@@ -360,8 +370,7 @@ class TestSolve:
         assert_rel_close(got.residual_history, ref.residual_history, 1e-9)
 
     @pytest.mark.parametrize("cfg,svt_runs", [
-        (SolverConfig(), False),
-        (SolverConfig(lambda1=0.05, mu0=0.5, rho=1.3, max_iter=25), True),
+        (SolverConfig(), False), (ACTIVE_SVT, True),
     ], ids=["defaults", "active_svt"])
     def test_svt_runs_only_above_threshold(self, monkeypatch, cfg, svt_runs):
         # below the threshold J is set to zero without svt and without the
@@ -376,6 +385,80 @@ class TestSolve:
         assert bool(calls) == svt_runs
         if not svt_runs:
             assert not result.state.j.any()
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(max_iter=12), ACTIVE_SVT],
+                             ids=["defaults", "active_svt"])
+    def test_bit_identical_for_any_worker_count(self, monkeypatch, cfg):
+        # 30 columns in blocks of 4 (the last has 2): the partial sums are
+        # combined in block order, whatever the number of workers
+        monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
+        rng = np.random.default_rng(32)
+        xs = [rng.standard_normal((4, 30)) for _ in range(3)]
+        h = rng.standard_normal((4, 9))
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(solver_mod, "_block_workers",
+                                lambda n, w=workers: w)
+            results.append(solve(xs, h, cfg))
+        first = results[0]
+        for res in results[1:]:
+            assert res.trace == first.trace
+            for name in ("c", "j", "y4"):
+                assert np.array_equal(getattr(res.state, name),
+                                      getattr(first.state, name))
+            for name in ("d", "e", "w", "y1", "y2", "y3"):
+                for a, b in zip(getattr(res.state, name),
+                                getattr(first.state, name)):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_pixels,widths", [
+        (30, [6] * 5), (1000, [200] * 5), (2600, [512] * 5 + [40]),
+    ])
+    def test_column_blocks(self, n_pixels, widths):
+        # at most 512 columns and at most a fifth of them, the last ragged
+        blocks = solver_mod._column_blocks(n_pixels)
+        assert [len(range(n_pixels)[b]) for b in blocks] == widths
+
+    @pytest.mark.parametrize("env,workers", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+        ({"MKL_NUM_THREADS": "4"}, 1),
+        ({}, 1),
+    ], ids=["one_thread", "two_threads", "first_set_wins", "all_cpus",
+            "unset"])
+    def test_block_workers_rule(self, monkeypatch, env, workers):
+        # 4 CPUs: the workers are the CPUs over the BLAS threads of each,
+        # at most one per block
+        monkeypatch.setattr(solver_mod, "_available_cpus", lambda: 4)
+        for var in solver_mod._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert solver_mod._block_workers(100) == workers
+        assert solver_mod._block_workers(3) == min(3, workers)
+
+    def test_traced_names_stay_on_the_calling_thread(self, monkeypatch):
+        # the benchmark's span recorder keeps one stack per process, so the
+        # solver names it wraps (perfbench/tracing.py) must not run on a
+        # block worker
+        monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
+        monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 3)
+        threads = []
+        for name in ("svt", "update_e", "update_w", "residuals",
+                     "update_multipliers"):
+            fn = getattr(solver_mod, name)
+
+            def record(*args, fn=fn, **kwargs):
+                threads.append(threading.current_thread())
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(solver_mod, name, record)
+        rng = np.random.default_rng(33)
+        xs = [rng.standard_normal((4, 30)) for _ in range(2)]
+        solve(xs, rng.standard_normal((4, 9)), ACTIVE_SVT)
+        assert threads  # the SVT ran
+        assert set(threads) == {threading.main_thread()}
 
     def test_deterministic(self):
         rng = np.random.default_rng(22)
