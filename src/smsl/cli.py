@@ -220,8 +220,6 @@ def parse_grid(text: str) -> dict:
 
 
 def cmd_sweep(args, argv) -> int:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     grid = parse_grid(args.grid)
     base_cfg = _detector_config(args)
     # every point is checked before the first one is solved
@@ -233,7 +231,7 @@ def cmd_sweep(args, argv) -> int:
     views = _load_views(args.cubes)
     mask = cube.load_mask(args.mask)
     start = time.monotonic()
-    rows = sweep(views, mask, base_cfg, grid, jobs=args.jobs)
+    rows = sweep(views, mask, base_cfg, grid)
     elapsed = time.monotonic() - start
     write_sweep_csv(rows, args.out)
     _write_manifest(_manifest_path(args.out), "sweep", argv, args,
@@ -301,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True,
                    help='e.g. "lambda2=0.1,1,10;lambda3=0.1,1,10"')
     p.add_argument("--out", required=True, help="sweep results CSV path")
-    p.add_argument("--jobs", type=int, default=1)
     _add_detector_flags(p)
     p.set_defaults(func=cmd_sweep)
 

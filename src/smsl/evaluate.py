@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -175,20 +174,15 @@ def grid_points(grid: dict) -> list:
 
 
 def sweep(views: ViewSet, mask: GroundTruthMask, base_cfg: DetectorConfig,
-          grid: dict, jobs: int = 1) -> list:
-    """Evaluate detect() over the cartesian grid; rows in lexicographic order
-    of the (sorted) parameter names, values in the order listed. Grid points
-    are independent, so jobs > 1 evaluates them in a thread pool."""
-    points = grid_points(grid)
-
-    def one(params):
+          grid: dict) -> list:
+    """Evaluate detect() over the cartesian grid, one point after another;
+    rows in lexicographic order of the (sorted) parameter names, values in
+    the order listed."""
+    rows = []
+    for params in grid_points(grid):
         scores = detect(views, apply_params(base_cfg, params))
-        return {**params, "auc": roc(scores, mask).auc}
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, points))
-    return [one(p) for p in points]
+        rows.append({**params, "auc": roc(scores, mask).auc})
+    return rows
 
 
 def write_roc_csv(curve: RocCurve, path: str) -> None:

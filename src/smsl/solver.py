@@ -27,6 +27,13 @@ right-hand sides, and the data-fit gap reuses H(C + D^s) from the E step.
 J feeds none of these steps, so the calling thread decides it after pass
 A, from the block sums of ||C + Y4/mu||_F^2; pass B then takes the C-J gap
 and the ascent on Y4.
+The residuals double as the finiteness check. The column-sum gap r3 sees
+every entry of C and of each D^s (D >= 0), the E-W gap r2 sees E^s and
+W^s, the C-J gap r4 sees J, and each multiplier moves by mu times its gap.
+So the state is scanned block by block (SolverError naming the first
+non-finite block) only when ||C + Y4/mu||_F^2 or r1-r3 is not finite after
+pass A, or r4 is not after pass B. The first check runs before J, so a
+non-finite C is reported as such and never reaches the SVT.
 The blocks run on min(blocks, CPUs // BLAS threads) threads, where the BLAS
 threads are the first of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS that is set (unset: all CPUs, so one thread). Block results
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -90,17 +97,22 @@ class SolverState:
     y3: list
     y4: np.ndarray
     mu: float
-    iteration: int = 0
-    residual_history: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
 class SolveResult:
     state: SolverState
     converged: bool
-    iterations_run: int
-    residual_history: list
     trace: list  # per-iteration (iteration, r1, r2, r3, r4, mu)
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.trace)
+
+    @property
+    def residual_history(self) -> list:
+        """max(r1..r4) per iteration."""
+        return [max(row[1:5]) for row in self.trace]
 
 
 def _as_matrices(views) -> list:
@@ -220,7 +232,7 @@ def _q_block(h, state, x, s, cols) -> np.ndarray:
 
 def _c_block(gram, inv_c, state, qs, cols) -> np.ndarray:
     """C from A C = B, A = I + S G and B = J - Y4/mu + sum_s (q_s - G D^s
-    - 1(1 - Y2^s/mu)')."""
+    + 1(1 - Y2^s/mu)')."""
     mu = state.mu
     b = state.y4[:, cols] / -mu
     b += state.j[:, cols]
@@ -279,33 +291,30 @@ def _max_abs(a) -> float:
     return float(np.maximum(a.max(), -a.min()))
 
 
-def _use(gap, y, ascend, mu) -> float:
-    """Max-abs of a gap; with ascend, also y += mu gap (in place)."""
+def _use(gap, y, mu) -> float:
+    """Max-abs of a gap, then y += mu gap (in place)."""
     r = _max_abs(gap)
-    if ascend:
-        gap *= mu
-        y += gap
+    gap *= mu
+    y += gap
     return r
 
 
-def _gap_block(state, s, cd, fit, cols, ascend) -> tuple:
+def _gap_block(state, s, cd, fit, cols) -> tuple:
     """Max-abs data-fit, E-W and column-sum gaps of view s, each driving
-    the ascent on its multiplier with ascend. Consumes fit = X^s - H(C +
-    D^s)."""
+    the ascent on its multiplier. Consumes fit = X^s - H(C + D^s)."""
     mu = state.mu
     fit -= state.e[s][:, cols]
-    return (_use(fit, state.y1[s][:, cols], ascend, mu),
+    return (_use(fit, state.y1[s][:, cols], mu),
             _use(state.e[s][:, cols] - state.w[s][:, cols],
-                 state.y3[s][:, cols], ascend, mu),
-            _use(cd.sum(axis=0) - 1.0, state.y2[s][cols], ascend, mu))
+                 state.y3[s][:, cols], mu),
+            _use(cd.sum(axis=0) - 1.0, state.y2[s][cols], mu))
 
 
-def _cj_block(state, cols, ascend, j_zero=False) -> float:
-    """Max-abs C-J gap, with ascend also the ascent on Y4."""
+def _cj_block(state, cols, j_zero=False) -> float:
+    """Max-abs C-J gap, and the ascent on Y4."""
     gap = state.c[:, cols] if j_zero else state.c[:, cols] - state.j[:, cols]
     r = _max_abs(gap)
-    if ascend:
-        state.y4[:, cols] += state.mu * gap
+    state.y4[:, cols] += state.mu * gap
     return r
 
 
@@ -323,7 +332,7 @@ def _pass_a(h, xs, gram, inv_c, inv_d, state, lambda3, cols) -> tuple:
         _, cd, fit = _e_block(h, state, x, s, cols, out=state.e[s][:, cols])
         state.w[s][:, cols] = _w_block(state, s, cols)
         # np.maximum keeps a NaN gap; the builtin max(0.0, nan) drops it
-        r = np.maximum(r, _gap_block(state, s, cd, fit, cols, True))
+        r = np.maximum(r, _gap_block(state, s, cd, fit, cols))
     m = state.y4[:, cols] / state.mu
     m += c
     return (float(np.vdot(m, m)), *r)
@@ -336,11 +345,6 @@ def update_c(state: SolverState, views, h) -> np.ndarray:
     gram = _Gram(hmat)
     qs = [_q_block(hmat, state, x, s, _ALL) for s, x in enumerate(xs)]
     return _c_block(gram, gram.inverse(1.0, len(xs)), state, qs, _ALL)
-
-
-def update_j(state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    """Low-rank auxiliary: SVT of C + Y4/mu at threshold lambda1/mu."""
-    return svt(state.c + state.y4 / state.mu, cfg.lambda1 / state.mu)
 
 
 def update_d(state: SolverState, views, h, s: int,
@@ -357,40 +361,6 @@ def update_d(state: SolverState, views, h, s: int,
 def update_e(state: SolverState, views, h, s: int) -> np.ndarray:
     """Stationary point of the two quadratic penalties tied to E^s."""
     return _e_block(_as_h(h), state, _as_matrices(views)[s], s, _ALL)[0]
-
-
-def update_w(state: SolverState, s: int) -> np.ndarray:
-    """Column-sparse auxiliary: l2,1 shrinkage of E^s + Y3^s/mu at 1/mu."""
-    return _w_block(state, s, _ALL)
-
-
-def _feasibility_step(state: SolverState, xs: list, h: np.ndarray,
-                      cfg: SolverConfig | None = None) -> tuple:
-    """Max-abs feasibility gaps (data fit, E-W, column sums, C-J). With a
-    cfg, each gap also drives the dual ascent on its multiplier, in place,
-    and mu then grows (capped at mu_max)."""
-    ascend = cfg is not None
-    r = np.zeros(3)
-    for s, x in enumerate(xs):
-        cd = state.c + state.d[s]
-        r = np.maximum(r, _gap_block(state, s, cd, x - h @ cd, _ALL, ascend))
-    r4 = _cj_block(state, _ALL, ascend)
-    if ascend:
-        state.mu = min(cfg.rho * state.mu, cfg.mu_max)
-    return (*map(float, r), r4)
-
-
-def update_multipliers(state: SolverState, views, h,
-                       cfg: SolverConfig) -> SolverState:
-    """Dual ascent on all multipliers, in place, then grow mu (capped at
-    mu_max)."""
-    _feasibility_step(state, _as_matrices(views), _as_h(h), cfg)
-    return state
-
-
-def residuals(state: SolverState, views, h) -> tuple:
-    """Max-abs feasibility gaps: (data fit, E-W, column sums, C-J)."""
-    return _feasibility_step(state, _as_matrices(views), _as_h(h))
 
 
 def _check_finite(state: SolverState, iteration: int) -> None:
@@ -432,39 +402,37 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     with ThreadPoolExecutor(workers) as pool:
         run = pool.map if workers > 1 else map
         for it in range(1, cfg.max_iter + 1):
-            state.iteration = it
             mu = state.mu
             inv_d = gram.inverse(cfg.lambda2, mu)
             parts = list(run(partial(_pass_a, hmat, xs, gram, inv_c, inv_d,
                                      state, cfg.lambda3), blocks))
+            # the block sums are combined in block order, whatever the
+            # workers
+            m2 = sum(p[0] for p in parts)
+            r = np.max([p[1:] for p in parts], axis=0)
+            if not (np.isfinite(m2) and np.isfinite(r).all()):
+                _check_finite(state, it)
             # M = C + Y4/mu lies in range(U), so its SVT is U svt(U'M), and
-            # ||U'M||_F = ||M||_F: at or below the threshold J is zero. The
-            # block sums are added in block order, whatever the workers.
+            # ||U'M||_F = ||M||_F: at or below the threshold J is zero.
             tau = cfg.lambda1 / mu
-            j_zero = np.sqrt(sum(p[0] for p in parts)) <= tau
+            j_zero = np.sqrt(m2) <= tau
             if j_zero:
                 state.j = np.zeros((n_h, n_pixels))
             else:
                 u = gram.u
                 state.j = u @ svt(u.T @ (state.c + state.y4 / mu), tau)
             r4 = float(np.max(list(run(partial(
-                _cj_block, state, ascend=True, j_zero=j_zero), blocks))))
-            r = (*map(float, np.max([p[1:] for p in parts], axis=0)), r4)
+                _cj_block, state, j_zero=j_zero), blocks))))
+            if not np.isfinite(r4):
+                _check_finite(state, it)
+            r = (*map(float, r), r4)
             state.mu = min(cfg.rho * mu, cfg.mu_max)
-            _check_finite(state, it)
-            state.residual_history.append(max(r))
             trace.append((it, *r, mu))
             if max(r) < cfg.epsilon:
                 converged = True
                 break
 
-    return SolveResult(
-        state=state,
-        converged=converged,
-        iterations_run=state.iteration,
-        residual_history=list(state.residual_history),
-        trace=trace,
-    )
+    return SolveResult(state=state, converged=converged, trace=trace)
 
 
 def write_trace_csv(trace: list, path: str) -> None:

@@ -2,8 +2,11 @@ import gc
 import hashlib
 import json
 import os
+import re
+import shlex
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,13 +268,6 @@ class TestSweep:
         capsys.readouterr()
         assert code == 2
 
-    def test_jobs_below_one_exit_2(self, scene, tmp_path, capsys):
-        code = main(["sweep", *scene["cubes"], "--mask", scene["mask"],
-                     "--grid", "lambda2=1,10", "--jobs", "0",
-                     "--out", str(tmp_path / "o.csv")])
-        assert code == 2
-        assert "--jobs" in capsys.readouterr().err
-
     def test_invalid_later_value_exit_2_before_any_solve(
             self, scene, tmp_path, monkeypatch, capsys):
         def detect(*args, **kwargs):
@@ -296,3 +292,18 @@ class TestSweep:
         lines = open(out).read().splitlines()
         assert lines[0] == "lambda2,lambda3,auc"
         assert len(lines) == 5
+
+
+def test_readme_cli_commands_parse():
+    # every command of the README's CLI block, continuations joined, is
+    # accepted by the parser: a removed or renamed flag fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"\n## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("smsl ")]
+    assert [argv[0] for argv in commands] == [
+        "synth", "detect", "baseline", "eval", "sweep", "rerun"]
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -152,14 +152,6 @@ class TestSweep:
         combos = [(r["lambda2"], r["lambda3"]) for r in rows]
         assert combos == [(1.0, 1.0), (1.0, 10.0), (10.0, 1.0), (10.0, 10.0)]
 
-    def test_jobs_parallel_matches_serial(self):
-        views, mask = synth_scene(SynthSpec(height=8, width=8, bands=6,
-                                            n_anomalies=3, seed=7))
-        grid = {"lambda1": [1.0, 2.0]}
-        serial = sweep(views, mask, tiny_cfg(), grid)
-        parallel = sweep(views, mask, tiny_cfg(), grid, jobs=2)
-        assert serial == parallel
-
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
             apply_params(tiny_cfg(), {"bogus": 1.0})

@@ -1,14 +1,14 @@
 import copy
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import smsl.solver as solver_mod
-from smsl.solver import (SolverConfig, SolverError, init_state, residuals,
-                         solve, update_c, update_d, update_e, update_j,
-                         update_multipliers, update_w)
-from smsl.prox import svt
+from smsl.solver import (SolverConfig, SolverError, init_state, solve,
+                         update_c, update_d, update_e)
+from smsl.prox import l21_shrink, svt
 
 
 def random_instance(rng, n_views=2, n_bands=4, n_pixels=6, n_h=3, mu=0.37,
@@ -93,34 +93,6 @@ class TestUpdateC:
             assert np.abs(a @ c - b).max() <= 1e-8 * (1 + np.abs(b).max())
 
 
-class TestUpdateJ:
-    def test_zero_threshold_is_identity(self):
-        rng = np.random.default_rng(12)
-        xs, h, state = random_instance(rng)
-        j = solver_mod.update_j(state, SolverConfig(lambda1=0.0))
-        assert np.allclose(j, state.c + state.y4 / state.mu, atol=1e-10)
-
-    def test_diagonal_hand_case(self):
-        state = init_state(1, 2, 2, 2, mu0=1.0)
-        state.c = np.diag([3.0, 1.0])
-        j = solver_mod.update_j(state, SolverConfig(lambda1=2.0))
-        assert np.allclose(j, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_improves_nuclear_objective(self):
-        rng = np.random.default_rng(13)
-        xs, h, state = random_instance(rng)
-        cfg = SolverConfig(lambda1=1.0)
-        sigma = state.c + state.y4 / state.mu
-        j = solver_mod.update_j(state, cfg)
-        tau = cfg.lambda1 / state.mu
-
-        def obj(m):
-            return tau * np.linalg.svd(m, compute_uv=False).sum() \
-                + 0.5 * np.linalg.norm(m - sigma) ** 2
-
-        assert obj(j) <= obj(sigma) + 1e-12
-
-
 class TestUpdateD:
     def test_scalar_hand_case(self):
         # S=2, H=[1], X1=[2], other D=[1], lambda2=lambda3=mu=1
@@ -203,21 +175,54 @@ class TestUpdateW:
     def test_is_column_shrinkage_at_inverse_mu(self):
         rng = np.random.default_rng(18)
         xs, h, state = random_instance(rng, mu=2.0)
-        from smsl.prox import l21_shrink
         expected = l21_shrink(state.e[0] + state.y3[0] / 2.0, 0.5)
-        assert np.allclose(update_w(state, 0), expected, atol=0)
+        got = solver_mod._w_block(state, 0, slice(None))
+        assert np.allclose(got, expected, atol=0)
+
+
+def gap_step(state, xs, h):
+    """solve()'s gap-and-ascent kernel over all columns: the max-abs gaps
+    (data fit, E-W, column sums, C-J), each driving the ascent on its
+    multiplier in place; mu is left alone."""
+    cols = slice(None)
+    r = np.zeros(3)
+    for s, x in enumerate(xs):
+        cd = state.c + state.d[s]
+        r = np.maximum(r, solver_mod._gap_block(state, s, cd, x - h @ cd,
+                                                cols))
+    return (*map(float, r), solver_mod._cj_block(state, cols))
+
+
+def gaps_then_ascent(st, xs, h):
+    """The four max-abs feasibility gaps, each formed out of place, then the
+    dual ascent on every multiplier as a separate pass (mu unchanged)."""
+    fit = [x - h @ (st.c + d) - e for x, d, e in zip(xs, st.d, st.e)]
+    ew = [e - w for e, w in zip(st.e, st.w)]
+    col = [(st.c + d).sum(axis=0) - 1.0 for d in st.d]
+    cj = st.c - st.j
+    r = [max(float(np.abs(g).max()) for g in gaps) for gaps in (fit, ew, col)]
+    mu = st.mu
+    st.y1 = [y + mu * g for y, g in zip(st.y1, fit)]
+    st.y3 = [y + mu * g for y, g in zip(st.y3, ew)]
+    st.y2 = [y + mu * g for y, g in zip(st.y2, col)]
+    st.y4 = st.y4 + mu * cj
+    return (*r, float(np.abs(cj).max()))
 
 
 class TestMultipliers:
     def test_mu_growth_and_cap(self):
+        # the mu column of the trace: mu0, then min(rho mu, mu_max)
         rng = np.random.default_rng(19)
-        xs, h, state = random_instance(rng, mu=1e-5)
-        cfg = SolverConfig()
-        state = update_multipliers(state, xs, h, cfg)
-        assert np.isclose(state.mu, 1.1e-5)
-        state.mu = cfg.mu_max
-        state = update_multipliers(state, xs, h, cfg)
-        assert state.mu == cfg.mu_max
+        xs = [rng.standard_normal((4, 30)) for _ in range(2)]
+        h = rng.standard_normal((4, 9))
+        capped = SolverConfig(mu0=0.5, mu_max=4.0, rho=1.5, max_iter=10)
+        for cfg in (SolverConfig(max_iter=20), capped):
+            mus = [row[5] for row in solve(xs, h, cfg).trace]
+            assert len(mus) == cfg.max_iter
+            assert mus[0] == cfg.mu0
+            assert mus[1:] == [min(cfg.rho * mu, cfg.mu_max)
+                               for mu in mus[:-1]]
+        assert mus.count(capped.mu_max) > 1
 
     def test_feasible_state_leaves_multipliers_unchanged(self):
         rng = np.random.default_rng(20)
@@ -233,7 +238,7 @@ class TestMultipliers:
             state.w[s] = state.e[s].copy()
             xs.append(h @ (state.c + state.d[s]) + state.e[s])
         before = [m.copy() for m in state.y1] + [state.y4.copy()]
-        state = update_multipliers(state, xs, h, SolverConfig())
+        gap_step(state, xs, h)
         assert np.allclose(state.y1[0], before[0], atol=1e-12)
         assert np.allclose(state.y4, before[-1], atol=1e-12)
         assert np.abs(state.y2[0]).max() < 1e-12
@@ -244,8 +249,10 @@ class TestResiduals:
         state = init_state(2, 3, 4, 2, mu0=1.0)
         xs = [np.zeros((3, 4)), np.zeros((3, 4))]
         h = np.zeros((3, 2))
-        assert residuals(state, xs, h) == (0.0, 0.0, 1.0, 0.0)
+        assert gap_step(state, xs, h) == (0.0, 0.0, 1.0, 0.0)
 
+    # which gaps see a NaN in each block: solve() reads the finiteness of
+    # the state from them
     @pytest.mark.parametrize("block,nan_gaps", [
         ("c", (0, 2, 3)), ("d", (0, 2)), ("e", (0, 1)),
     ])
@@ -254,7 +261,7 @@ class TestResiduals:
         xs, h, state = random_instance(rng)
         target = state.c if block == "c" else getattr(state, block)[1]
         target[0, 0] = np.nan
-        r = residuals(state, xs, h)
+        r = gap_step(state, xs, h)
         assert [i for i in range(4) if np.isnan(r[i])] == list(nan_gaps)
 
     def test_c_perturbation_moves_cj_residual(self):
@@ -263,32 +270,8 @@ class TestResiduals:
         state.j = state.c.copy()
         delta = rng.standard_normal(state.c.shape)
         state.c = state.c + delta
-        r = residuals(state, xs, h)
+        r = gap_step(state, xs, h)
         assert np.isclose(r[3], np.abs(delta).max())
-
-
-def reference_gaps_then_ascent(state, xs, h, cfg):
-    """The residuals and the dual ascent as two separate passes that each
-    form every gap out of place."""
-    r1 = r2 = r3 = 0.0
-    for s, x in enumerate(xs):
-        r1 = max(r1, float(np.abs(x - h @ (state.c + state.d[s])
-                                  - state.e[s]).max()))
-        r2 = max(r2, float(np.abs(state.e[s] - state.w[s]).max()))
-        r3 = max(r3, float(np.abs((state.c + state.d[s]).sum(axis=0)
-                                  - 1.0).max()))
-    r4 = float(np.abs(state.c - state.j).max())
-    mu = state.mu
-    for s, x in enumerate(xs):
-        hcd = h @ (state.c + state.d[s])
-        state.y1[s] = state.y1[s] + mu * (x - hcd - state.e[s])
-        state.y2[s] = state.y2[s] + mu * (
-            (state.c + state.d[s]).sum(axis=0) - 1.0
-        )
-        state.y3[s] = state.y3[s] + mu * (state.e[s] - state.w[s])
-    state.y4 = state.y4 + mu * (state.c - state.j)
-    state.mu = min(cfg.rho * mu, cfg.mu_max)
-    return r1, r2, r3, r4
 
 
 class TestFeasibilityStep:
@@ -297,39 +280,59 @@ class TestFeasibilityStep:
         rng = np.random.default_rng(28 + n_views)
         xs, h, state = random_instance(rng, n_views=n_views, n_bands=5,
                                        n_pixels=40, n_h=7)
-        cfg = SolverConfig(rho=1.3)
-        fused, wrapped, ref = (copy.deepcopy(state) for _ in range(3))
-        r_fused = solver_mod._feasibility_step(fused, xs, h, cfg)
-        r_wrapped = residuals(wrapped, xs, h)
-        wrapped = update_multipliers(wrapped, xs, h, cfg)
-        r_ref = reference_gaps_then_ascent(ref, xs, h, cfg)
+        fused, ref = copy.deepcopy(state), copy.deepcopy(state)
+        r_fused = gap_step(fused, xs, h)
+        r_ref = gaps_then_ascent(ref, xs, h)
         assert min(r_ref) > 0  # nonfeasible in every constraint
-        assert r_fused == r_ref and r_wrapped == r_ref
-        for got in (fused, wrapped):
-            assert got.mu == ref.mu
-            for name in ("y1", "y2", "y3"):
-                for a, b in zip(getattr(got, name), getattr(ref, name)):
-                    assert np.array_equal(a, b)
-            assert np.array_equal(got.y4, ref.y4)
+        assert r_fused == r_ref
+        assert fused.mu == ref.mu
+        for name in ("y1", "y2", "y3"):
+            for a, b in zip(getattr(fused, name), getattr(ref, name)):
+                assert np.array_equal(a, b)
+        assert np.array_equal(fused.y4, ref.y4)
 
 
-def reference_solve(xs, h, cfg):
-    """solve() as a plain loop over the public block functions, in its
-    order; update_j takes the SVT of the full n_h x N matrix."""
-    state = init_state(len(xs), *xs[0].shape, h.shape[1], cfg.mu0)
+def dense_reference_solve(xs, h, cfg):
+    """solve() written from the update equations as a loop of dense block
+    updates in its Gauss-Seidel order: C and each D^s by np.linalg.solve
+    with G = H'H + 11', J by the SVT of the full n_h x N matrix, E^s in
+    closed form, W^s by l2,1 shrinkage, then the gaps, the dual ascent and
+    the mu step. Shares only svt and l21_shrink with the solver."""
+    n_views, n_h, n_pixels = len(xs), h.shape[1], xs[0].shape[1]
+    g = h.T @ h + np.ones((n_h, n_h))
+    eye = np.eye(n_h)
+    st = SimpleNamespace(
+        c=np.zeros((n_h, n_pixels)), j=np.zeros((n_h, n_pixels)),
+        d=[np.zeros((n_h, n_pixels)) for _ in xs],
+        e=[np.zeros_like(x) for x in xs], w=[np.zeros_like(x) for x in xs],
+        y1=[np.zeros_like(x) for x in xs], y2=[np.zeros(n_pixels) for _ in xs],
+        y3=[np.zeros_like(x) for x in xs], y4=np.zeros((n_h, n_pixels)),
+        mu=cfg.mu0, history=[])
     for _ in range(cfg.max_iter):
-        state.c = update_c(state, xs, h)
-        state.j = update_j(state, cfg)
-        for s in range(len(xs)):
-            state.d[s] = update_d(state, xs, h, s, cfg)
-            state.e[s] = update_e(state, xs, h, s)
-            state.w[s] = update_w(state, s)
-        r = residuals(state, xs, h)
-        state = update_multipliers(state, xs, h, cfg)
-        state.residual_history.append(max(r))
+        mu = st.mu
+        b = st.j - st.y4 / mu
+        for s, x in enumerate(xs):
+            b += h.T @ (x - h @ st.d[s] - st.e[s] + st.y1[s] / mu) \
+                + (1.0 - st.d[s].sum(axis=0) - st.y2[s] / mu)
+        st.c = np.linalg.solve(eye + n_views * g, b)
+        m, tau = st.c + st.y4 / mu, cfg.lambda1 / mu
+        st.j = np.zeros_like(m) if np.linalg.norm(m) <= tau else svt(m, tau)
+        for s, x in enumerate(xs):
+            rhs = mu * h.T @ (x - h @ st.c - st.e[s] + st.y1[s] / mu) \
+                + (mu * (1.0 - st.c.sum(axis=0)) - st.y2[s]) \
+                - cfg.lambda3 * sum(np.abs(st.d[t]) for t in range(n_views)
+                                    if t != s)
+            st.d[s] = np.maximum(
+                np.linalg.solve(cfg.lambda2 * eye + mu * g, rhs), 0.0)
+            st.e[s] = 0.5 * (x - h @ (st.c + st.d[s]) + st.y1[s] / mu
+                             + st.w[s] - st.y3[s] / mu)
+            st.w[s] = l21_shrink(st.e[s] + st.y3[s] / mu, 1.0 / mu)
+        r = gaps_then_ascent(st, xs, h)
+        st.mu = min(cfg.rho * mu, cfg.mu_max)
+        st.history.append(max(r))
         if max(r) < cfg.epsilon:
             break
-    return state
+    return st
 
 
 def assert_rel_close(got, expected, rtol):
@@ -353,21 +356,24 @@ class TestSolve:
                              ids=["defaults", "active_svt", "edge_svt"])
     def test_matches_block_function_loop(self, monkeypatch, n_views, n_bands,
                                          n_h, block, cfg):
+        # the loop is dense_reference_solve, which shares no block code
+        # with solve()
         if block is not None:
             monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", block)
             monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 2)
         rng = np.random.default_rng(27 + n_views + n_h)
         xs = [rng.standard_normal((n_bands, 30)) for _ in range(n_views)]
         h = rng.standard_normal((n_bands, n_h))
-        got = solve(xs, h, cfg).state
-        ref = reference_solve(xs, h, cfg)
+        result = solve(xs, h, cfg)
+        got = result.state
+        ref = dense_reference_solve(xs, h, cfg)
         if cfg.mu0 > SolverConfig().mu0:
             assert np.abs(ref.j).max() > 0  # the SVT keeps a nonzero part
         assert_rel_close(got.c, ref.c, 1e-9)
         for s in range(n_views):
             assert_rel_close(got.d[s], ref.d[s], 1e-9)
             assert_rel_close(got.e[s], ref.e[s], 1e-9)
-        assert_rel_close(got.residual_history, ref.residual_history, 1e-9)
+        assert_rel_close(result.residual_history, ref.history, 1e-9)
 
     @pytest.mark.parametrize("cfg,svt_runs", [
         (SolverConfig(), False), (ACTIVE_SVT, True),
@@ -445,8 +451,7 @@ class TestSolve:
         monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
         monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 3)
         threads = []
-        for name in ("svt", "update_e", "update_w", "residuals",
-                     "update_multipliers"):
+        for name in ("svt", "update_e"):
             fn = getattr(solver_mod, name)
 
             def record(*args, fn=fn, **kwargs):
@@ -494,7 +499,7 @@ class TestSolve:
                            epsilon=1e-5)
         res = solve(xs, h, cfg)
         assert res.converged
-        r = residuals(res.state, xs, h)
+        r = gaps_then_ascent(copy.deepcopy(res.state), xs, h)
         assert max(r) < cfg.epsilon
 
     def test_dimension_mismatch_rejected(self):
@@ -515,6 +520,23 @@ class TestSolve:
                 with pytest.raises(SolverError,
                                    match=f"in {name} at iteration 3"):
                     solver_mod._check_finite(state, iteration=3)
+
+    def test_non_finite_c_reported_before_the_j_step(self, monkeypatch):
+        # a NaN in C fails as SolverError naming C and its iteration, not
+        # in the SVT of C + Y4/mu
+        c_block = solver_mod._c_block
+
+        def nan_from_iteration_2(gram, inv_c, state, qs, cols):
+            c = c_block(gram, inv_c, state, qs, cols)
+            if state.mu > ACTIVE_SVT.mu0:
+                c[0, 0] = np.nan
+            return c
+
+        monkeypatch.setattr(solver_mod, "_c_block", nan_from_iteration_2)
+        rng = np.random.default_rng(34)
+        xs = [rng.standard_normal((4, 30)) for _ in range(2)]
+        with pytest.raises(SolverError, match="in C at iteration 2"):
+            solve(xs, rng.standard_normal((4, 9)), ACTIVE_SVT)
 
     def test_large_finite_state_passes(self):
         # the squared norm of C overflows, but every entry is finite
