@@ -4,11 +4,9 @@ detection, with classical baselines and ROC evaluation."""
 from .cube import (DetectionMap, GroundTruthMask, HyperCube, ViewSet, flatten,
                    load_cube, load_mask, load_scores, save_cube, save_mask,
                    save_scores, unflatten)
-from .detector import DetectorConfig, detect, score_multiview, score_pair, \
-    specific_part
+from .detector import DetectorConfig, detect, score_multiview
 from .evaluate import RocCurve, SynthSpec, roc, sweep, synth_scene
-from .sketch import SketchConfig, SketchedDictionary, build_dictionary, \
-    jlt_matrix
+from .sketch import SketchConfig, build_dictionary, jlt_matrix
 from .solver import SolveResult, SolverConfig, SolverState, solve
 
 __version__ = "0.1.0"
@@ -16,9 +14,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DetectionMap", "GroundTruthMask", "HyperCube", "ViewSet", "flatten",
     "unflatten", "load_cube", "save_cube", "load_mask", "save_mask",
-    "load_scores", "save_scores", "SketchConfig", "SketchedDictionary",
-    "jlt_matrix", "build_dictionary", "SolverConfig", "SolverState",
-    "SolveResult", "solve", "DetectorConfig", "detect", "specific_part",
-    "score_pair", "score_multiview", "RocCurve", "SynthSpec", "roc",
-    "synth_scene", "sweep", "__version__",
+    "load_scores", "save_scores", "SketchConfig", "jlt_matrix",
+    "build_dictionary", "SolverConfig", "SolverState", "SolveResult", "solve",
+    "DetectorConfig", "detect", "score_multiview", "RocCurve", "SynthSpec",
+    "roc", "synth_scene", "sweep", "__version__",
 ]

@@ -212,10 +212,6 @@ def parse_grid(text: str) -> dict:
             grid[name] = [caster(v) for v in values.split(",") if v.strip()]
         except ValueError:
             raise UsageError(f"malformed grid values for {name!r}") from None
-        if not grid[name]:
-            raise UsageError(f"grid parameter {name!r} has no values")
-    if not grid:
-        raise UsageError("empty sweep grid")
     return grid
 
 

@@ -1,5 +1,5 @@
-"""End-to-end anomalous-change scoring: sketch, solve, then per-pixel
-residual norms between consecutive views."""
+"""End-to-end anomalous-change scoring: sketch the L x n_h dictionary array
+H, solve, then per-pixel residual norms between consecutive views."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import DetectionMap, ViewSet
-from .sketch import SketchConfig, SketchedDictionary, build_dictionaries, \
-    build_dictionary
+from .sketch import SketchConfig, build_dictionaries, build_dictionary
 from .solver import SolverConfig, solve
 
 
@@ -19,41 +18,25 @@ class DetectorConfig:
     solver: SolverConfig = SolverConfig()
 
 
-def specific_part(h, d_s: np.ndarray) -> np.ndarray:
-    """Per-pixel view-specific spectra H @ D^s (column i belongs to pixel i)."""
-    hmat = h.h if isinstance(h, SketchedDictionary) else np.asarray(h)
-    d_s = np.asarray(d_s)
-    if hmat.shape[1] != d_s.shape[0]:
-        raise ValueError(
-            f"dictionary width {hmat.shape[1]} != coefficient rows {d_s.shape[0]}"
-        )
-    return hmat @ d_s
-
-
-def score_columns(h, d1, d2, e1, e2) -> np.ndarray:
-    """Length-N score vector for one view pair."""
-    diff_specific = specific_part(h, np.asarray(d2) - np.asarray(d1))
-    e1 = np.asarray(e1)
-    e2 = np.asarray(e2)
-    if e1.shape != e2.shape or e1.shape[1] != diff_specific.shape[1]:
-        raise ValueError("noise matrices must match the coefficient shape")
-    return (np.linalg.norm(diff_specific, axis=0)
-            + np.linalg.norm(e2 - e1, axis=0))
-
-
-def score_pair(h, d1, d2, e1, e2, height: int, width: int) -> DetectionMap:
-    """Pairwise scores: l2 norm of the specific-part difference plus l2 norm
-    of the noise difference, per pixel."""
-    return DetectionMap(height, width, score_columns(h, d1, d2, e1, e2))
-
-
 def score_multiview(h, d: list, e: list, height: int, width: int) -> DetectionMap:
-    """Sum of pairwise scores over consecutive views (s, s+1)."""
+    """Sum over consecutive views (s, s+1) of the per-pixel pair score
+    ||H(D^{s+1} - D^s)|| + ||E^{s+1} - E^s||, with H the L x n_h
+    dictionary array."""
     if len(d) < 2 or len(e) != len(d):
         raise ValueError("need coefficient/noise matrices for >= 2 views")
+    h = np.asarray(h)
     total = np.zeros(height * width)
-    for s in range(len(d) - 1):
-        total += score_columns(h, d[s], d[s + 1], e[s], e[s + 1])
+    for d1, d2, e1, e2 in zip(d, d[1:], e, e[1:]):
+        diff = np.asarray(d2) - np.asarray(d1)
+        if h.shape[1] != diff.shape[0]:
+            raise ValueError(f"dictionary width {h.shape[1]} != "
+                             f"coefficient rows {diff.shape[0]}")
+        diff = h @ diff  # H(D^{s+1} - D^s); frees the n_h x N difference
+        e1, e2 = np.asarray(e1), np.asarray(e2)
+        if e1.shape != e2.shape or e1.shape[1] != diff.shape[1]:
+            raise ValueError("noise matrices must match the coefficient shape")
+        total += (np.linalg.norm(diff, axis=0)
+                  + np.linalg.norm(e2 - e1, axis=0))
     return DetectionMap(height, width, total)
 
 

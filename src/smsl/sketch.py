@@ -1,7 +1,8 @@
 """Random-projection dictionary built from the concatenated views.
 
-The dictionary is ``H = [X^1, ..., X^S] R`` where R has i.i.d. N(0, 1/n_h)
-entries. Sampling uses numpy's PCG64 generator (ziggurat standard normals),
+The dictionary is the float64 L x n_h array ``H = [X^1, ..., X^S] R``,
+where R has i.i.d. N(0, 1/n_h) entries; the solver and the scoring take it
+as is. Sampling uses numpy's PCG64 generator (ziggurat standard normals),
 so equal seeds reproduce equal matrices on any platform.
 
 The builders never hold a whole R: each repeat's R_j is streamed in row
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -48,20 +49,6 @@ class SketchConfig:
             raise ValueError("repeats must be >= 1")
         if self.average_mode not in AVERAGE_MODES:
             raise ValueError(f"average_mode must be one of {AVERAGE_MODES}")
-
-
-@dataclass(frozen=True)
-class SketchedDictionary:
-    h: np.ndarray = field(repr=False)
-    config: SketchConfig = SketchConfig()
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.float64)
-        if h.ndim != 2:
-            raise ValueError("dictionary must be a 2-D matrix")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("dictionary contains non-finite entries")
-        object.__setattr__(self, "h", h)
 
 
 def repeat_seed(seed: int, j: int) -> int:
@@ -144,15 +131,12 @@ def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
 
 
 def build_dictionaries(views: ViewSet, cfg: SketchConfig) -> list:
-    """One dictionary per repeat, each from its derived seed."""
-    return [
-        SketchedDictionary(h, replace(cfg, repeats=1,
-                                      seed=repeat_seed(cfg.seed, j)))
-        for j, h in enumerate(_sketch(views, cfg, average=False))
-    ]
+    """One dictionary per repeat j, from the derived seed
+    ``repeat_seed(cfg.seed, j)``."""
+    return list(_sketch(views, cfg, average=False))
 
 
-def build_dictionary(views: ViewSet, cfg: SketchConfig) -> SketchedDictionary:
+def build_dictionary(views: ViewSet, cfg: SketchConfig) -> np.ndarray:
     """The dictionary used by a single solve.
 
     For average_mode="dictionary" this is ``X mean_j R_j``, the mean of the
@@ -160,4 +144,4 @@ def build_dictionary(views: ViewSet, cfg: SketchConfig) -> SketchedDictionary:
     average_mode="scores" averaging happens over detection maps instead, so
     each solve should use one entry of :func:`build_dictionaries`.
     """
-    return SketchedDictionary(_sketch(views, cfg, average=True)[0], cfg)
+    return _sketch(views, cfg, average=True)[0]

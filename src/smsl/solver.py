@@ -52,7 +52,7 @@ import numpy as np
 
 from .cube import ViewSet
 from .prox import _SV_CUTOFF, l21_shrink, svt
-from .sketch import SketchedDictionary, _available_cpus
+from .sketch import _available_cpus
 
 
 class SolverError(RuntimeError):
@@ -119,12 +119,6 @@ def _as_matrices(views) -> list:
     if isinstance(views, ViewSet):
         return views.matrices()
     return [np.asarray(x, dtype=np.float64) for x in views]
-
-
-def _as_h(h) -> np.ndarray:
-    if isinstance(h, SketchedDictionary):
-        return h.h
-    return np.asarray(h, dtype=np.float64)
 
 
 def init_state(n_views: int, n_bands: int, n_pixels: int, n_h: int,
@@ -340,59 +334,56 @@ def _pass_a(h, xs, gram, inv_c, inv_d, state, lambda3, cols) -> tuple:
 
 def update_c(state: SolverState, views, h) -> np.ndarray:
     """Least-squares block for C: solve A C = B, A = S H'H + S 11' + I."""
-    hmat = _as_h(h)
+    h = np.asarray(h, dtype=np.float64)
     xs = _as_matrices(views)
-    gram = _Gram(hmat)
-    qs = [_q_block(hmat, state, x, s, _ALL) for s, x in enumerate(xs)]
+    gram = _Gram(h)
+    qs = [_q_block(h, state, x, s, _ALL) for s, x in enumerate(xs)]
     return _c_block(gram, gram.inverse(1.0, len(xs)), state, qs, _ALL)
 
 
 def update_d(state: SolverState, views, h, s: int,
              cfg: SolverConfig) -> np.ndarray:
     """Ridge solve for view s's specific block, clipped to be nonnegative."""
-    hmat = _as_h(h)
+    h = np.asarray(h, dtype=np.float64)
     xs = _as_matrices(views)
-    gram = _Gram(hmat)
+    gram = _Gram(h)
     return _d_block(gram.inverse(cfg.lambda2, state.mu), state,
-                    _q_block(hmat, state, xs[s], s, _ALL), gram(state.c), s,
+                    _q_block(h, state, xs[s], s, _ALL), gram(state.c), s,
                     _ALL, cfg.lambda3)
 
 
 def update_e(state: SolverState, views, h, s: int) -> np.ndarray:
     """Stationary point of the two quadratic penalties tied to E^s."""
-    return _e_block(_as_h(h), state, _as_matrices(views)[s], s, _ALL)[0]
+    return _e_block(np.asarray(h, dtype=np.float64), state,
+                    _as_matrices(views)[s], s, _ALL)[0]
 
 
 def _check_finite(state: SolverState, iteration: int) -> None:
     blocks = {"C": [state.c], "J": [state.j], "D": state.d, "E": state.e,
               "W": state.w, "Y1": state.y1, "Y2": state.y2, "Y3": state.y3,
               "Y4": [state.y4]}
-    # v.v is finite exactly when every entry is, unless it overflows; only
-    # then does the elementwise check (a boolean copy) run
-    with np.errstate(over="ignore"):
-        for name, arrs in blocks.items():
-            for arr in arrs:
-                v = arr.ravel()
-                if not (np.isfinite(v @ v) or np.isfinite(v).all()):
-                    raise SolverError(
-                        f"non-finite values in {name} at iteration {iteration}"
-                    )
+    for name, arrs in blocks.items():
+        for arr in arrs:
+            if not np.isfinite(arr).all():
+                raise SolverError(
+                    f"non-finite values in {name} at iteration {iteration}"
+                )
 
 
 def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Run the full alternating scheme from the all-zero starting point."""
-    hmat = _as_h(h)
+    h = np.asarray(h, dtype=np.float64)
     xs = _as_matrices(views)
     n_views = len(xs)
     n_bands, n_pixels = xs[0].shape
-    n_h = hmat.shape[1]
-    if hmat.shape[0] != n_bands:
+    n_h = h.shape[1]
+    if h.shape[0] != n_bands:
         raise ValueError(
-            f"dictionary has {hmat.shape[0]} bands, views have {n_bands}"
+            f"dictionary has {h.shape[0]} bands, views have {n_bands}"
         )
 
     state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0)
-    gram = _Gram(hmat)
+    gram = _Gram(h)
     inv_c = gram.inverse(1.0, n_views)
     blocks = _column_blocks(n_pixels)
     workers = _block_workers(len(blocks))
@@ -404,7 +395,7 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
         for it in range(1, cfg.max_iter + 1):
             mu = state.mu
             inv_d = gram.inverse(cfg.lambda2, mu)
-            parts = list(run(partial(_pass_a, hmat, xs, gram, inv_c, inv_d,
+            parts = list(run(partial(_pass_a, h, xs, gram, inv_c, inv_d,
                                      state, cfg.lambda3), blocks))
             # the block sums are combined in block order, whatever the
             # workers

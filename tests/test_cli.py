@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import smsl
 from smsl import cli, cube, evaluate
 from smsl.cli import main, parse_grid
 from smsl.cube import load_scores, save_cube, save_mask
@@ -262,11 +263,19 @@ class TestSweep:
                         "mu0": [1.0]}
         assert [type(v[0]) for v in grid.values()] == [int, int, int, float]
 
-    def test_malformed_grid_exit_2(self, scene, tmp_path, capsys):
-        code = main(["sweep", *scene["cubes"], "--mask", scene["mask"],
-                     "--grid", "nonsense", "--out", str(tmp_path / "o.csv")])
-        capsys.readouterr()
-        assert code == 2
+    def test_malformed_grid_exit_2(self, scene, tmp_path, monkeypatch,
+                                   capsys):
+        def detect(*args, **kwargs):
+            raise AssertionError("a grid point was solved")
+
+        monkeypatch.setattr(evaluate, "detect", detect)
+        # malformed, a parameter without values, and no parameter at all
+        for grid in ("nonsense", "lambda2=", ";"):
+            code = main(["sweep", *scene["cubes"], "--mask", scene["mask"],
+                         "--grid", grid, "--out", str(tmp_path / "o.csv")])
+            capsys.readouterr()
+            assert code == 2, grid
+            assert not (tmp_path / "o.csv").exists()
 
     def test_invalid_later_value_exit_2_before_any_solve(
             self, scene, tmp_path, monkeypatch, capsys):
@@ -307,3 +316,15 @@ def test_readme_cli_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_library_imports_exist():
+    # every name the README's library example imports is exported, and
+    # every export resolves: a removal that leaves either stale fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"from smsl import \((.*?)\)", readme, re.S).group(1)
+    names = [n.strip() for n in block.split(",") if n.strip()]
+    assert names
+    assert not set(names) - set(smsl.__all__)
+    for name in smsl.__all__:
+        getattr(smsl, name)

@@ -3,7 +3,7 @@ import pytest
 
 from smsl.cube import HyperCube, ViewSet
 from smsl.detector import (DetectorConfig, detect, detect_with_result,
-                           score_multiview, score_pair, specific_part)
+                           score_multiview)
 from smsl.evaluate import SynthSpec, synth_scene
 from smsl.sketch import SketchConfig
 from smsl.solver import SolverConfig
@@ -15,28 +15,9 @@ def small_cfg(**sketch_kw):
     return DetectorConfig(sketch=SketchConfig(**sketch), solver=SolverConfig())
 
 
-class TestSpecificPart:
-    def test_zero_coefficients(self):
-        h = np.ones((3, 2))
-        assert np.array_equal(specific_part(h, np.zeros((2, 4))),
-                              np.zeros((3, 4)))
-
-    def test_hand_column(self):
-        h = np.array([[1.0], [2.0]])
-        d = np.array([[3.0]])
-        assert np.array_equal(specific_part(h, d), [[3.0], [6.0]])
-
-    def test_linearity(self):
-        rng = np.random.default_rng(0)
-        h = rng.standard_normal((4, 3))
-        d1 = rng.standard_normal((3, 5))
-        d2 = rng.standard_normal((3, 5))
-        assert np.allclose(specific_part(h, d1 + d2),
-                           specific_part(h, d1) + specific_part(h, d2))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            specific_part(np.ones((3, 2)), np.ones((3, 4)))
+def pair_score(h, d1, d2, e1, e2, height, width):
+    """The score of one view pair: score_multiview over two views."""
+    return score_multiview(h, [d1, d2], [e1, e2], height, width)
 
 
 class TestScorePair:
@@ -45,7 +26,7 @@ class TestScorePair:
         h = rng.standard_normal((4, 3))
         d = rng.standard_normal((3, 6))
         e = rng.standard_normal((4, 6))
-        m = score_pair(h, d, d, e, e, 2, 3)
+        m = pair_score(h, d, d, e, e, 2, 3)
         assert np.array_equal(m.scores, np.zeros((2, 3)))
 
     def test_hand_single_pixel(self):
@@ -53,7 +34,7 @@ class TestScorePair:
         d1 = np.array([[1.0], [0.0]])
         d2 = np.array([[0.0], [1.0]])
         e = np.zeros((2, 1))
-        m = score_pair(h, d1, d2, e, e, 1, 1)
+        m = pair_score(h, d1, d2, e, e, 1, 1)
         assert np.allclose(m.scores, np.sqrt(2.0))
 
     def test_symmetric_in_view_order(self):
@@ -61,8 +42,8 @@ class TestScorePair:
         h = rng.standard_normal((4, 3))
         d1, d2 = rng.standard_normal((2, 3, 6))
         e1, e2 = rng.standard_normal((2, 4, 6))
-        a = score_pair(h, d1, d2, e1, e2, 2, 3)
-        b = score_pair(h, d2, d1, e2, e1, 2, 3)
+        a = pair_score(h, d1, d2, e1, e2, 2, 3)
+        b = pair_score(h, d2, d1, e2, e1, 2, 3)
         assert np.array_equal(a.scores, b.scores)
 
 
@@ -72,10 +53,18 @@ class TestScoreMultiview:
         h = rng.standard_normal((4, 3))
         d = [rng.standard_normal((3, 6)) for _ in range(2)]
         e = [rng.standard_normal((4, 6)) for _ in range(2)]
-        assert np.array_equal(
-            score_multiview(h, d, e, 2, 3).scores,
-            score_pair(h, d[0], d[1], e[0], e[1], 2, 3).scores,
-        )
+        pair = (np.linalg.norm(h @ (d[1] - d[0]), axis=0)
+                + np.linalg.norm(e[1] - e[0], axis=0))
+        assert np.array_equal(score_multiview(h, d, e, 2, 3).scores,
+                              pair.reshape(2, 3))
+
+    def test_hand_column(self):
+        # H(D^2 - D^1) = [3, 6]' for the one pixel, and no noise change
+        h = np.array([[1.0], [2.0]])
+        d = [np.array([[0.0]]), np.array([[3.0]])]
+        e = [np.zeros((2, 1))] * 2
+        m = score_multiview(h, d, e, 1, 1)
+        assert np.allclose(m.scores, np.sqrt(45.0))
 
     def test_duplicated_third_view_adds_nothing(self):
         rng = np.random.default_rng(4)
@@ -93,7 +82,7 @@ class TestScoreMultiview:
         e = [rng.standard_normal((4, 6)) for _ in range(3)]
         total = np.zeros(6)
         for s in range(2):
-            total += score_pair(h, d[s], d[s + 1], e[s], e[s + 1],
+            total += pair_score(h, d[s], d[s + 1], e[s], e[s + 1],
                                 1, 6).scores.reshape(-1)
         assert np.allclose(score_multiview(h, d, e, 1, 6).scores.reshape(-1),
                            total)
@@ -102,6 +91,17 @@ class TestScoreMultiview:
         with pytest.raises(ValueError):
             score_multiview(np.ones((2, 2)), [np.ones((2, 2))],
                             [np.ones((2, 2))], 1, 2)
+
+    def test_shape_mismatch(self):
+        # a dictionary of width 2 against coefficients with 3 rows
+        with pytest.raises(ValueError, match="dictionary width"):
+            score_multiview(np.ones((3, 2)), [np.ones((3, 4))] * 2,
+                            [np.ones((3, 4))] * 2, 2, 2)
+
+    def test_noise_shape_mismatch(self):
+        with pytest.raises(ValueError, match="noise matrices"):
+            score_multiview(np.ones((3, 2)), [np.ones((2, 4))] * 2,
+                            [np.ones((3, 4)), np.ones((3, 5))], 2, 2)
 
 
 class TestDetect:

@@ -46,7 +46,7 @@ def test_jlt_norm_preservation():
 def test_build_dictionary_zero_views():
     z = HyperCube(3, 2, 2, np.zeros(12))
     h = build_dictionary(ViewSet((z, z)), SketchConfig(n_h=4, seed=0, repeats=1))
-    assert np.array_equal(h.h, np.zeros((3, 4)))
+    assert np.array_equal(h, np.zeros((3, 4)))
 
 
 def test_build_dictionary_matches_recomputation():
@@ -56,8 +56,8 @@ def test_build_dictionary_matches_recomputation():
     h = build_dictionary(vs, cfg)
     stacked = np.hstack(vs.matrices())
     expected = stacked @ jlt_matrix(stacked.shape[1], 6, seed=77)
-    assert np.array_equal(h.h, expected)
-    assert h.h.shape == (vs.bands, 6)
+    assert np.array_equal(h, expected)
+    assert h.shape == (vs.bands, 6)
 
 
 def test_dictionary_averaging_is_elementwise_mean():
@@ -68,7 +68,7 @@ def test_dictionary_averaging_is_elementwise_mean():
     singles = build_dictionaries(vs, cfg)
     assert len(singles) == 2
     # X mean_j(R_j) equals the mean of the X R_j up to rounding
-    assert np.allclose(h.h, (singles[0].h + singles[1].h) / 2,
+    assert np.allclose(h, (singles[0] + singles[1]) / 2,
                        atol=0, rtol=1e-12)
 
 
@@ -82,8 +82,8 @@ def test_determinism_full_config():
     rng = np.random.default_rng(6)
     vs = _views(rng)
     cfg = SketchConfig(n_h=4, seed=1, repeats=3)
-    assert np.array_equal(build_dictionary(vs, cfg).h,
-                          build_dictionary(vs, cfg).h)
+    assert np.array_equal(build_dictionary(vs, cfg),
+                          build_dictionary(vs, cfg))
 
 
 def test_n_h_exceeding_samples_rejected():
@@ -99,7 +99,7 @@ def test_averaged_dictionary_variance_shrinks():
     vs = ViewSet((z, z))
     single = build_dictionary(vs, SketchConfig(n_h=2000, seed=0, repeats=1))
     avg = build_dictionary(vs, SketchConfig(n_h=2000, seed=0, repeats=4))
-    ratio = avg.h.var() / single.h.var()
+    ratio = avg.var() / single.var()
     assert 0.15 < ratio < 0.35
 
 
@@ -131,14 +131,14 @@ class TestStreamedBuild:
         vs = _views(np.random.default_rng(12))
         cfg = SketchConfig(n_h=5, seed=8, repeats=repeats)
         old = _old_products(vs, cfg)
-        avg = build_dictionary(vs, cfg).h
+        avg = build_dictionary(vs, cfg)
         assert _max_rel(avg, np.mean(old, axis=0)) < 1e-12
         singles = build_dictionaries(
             vs, SketchConfig(n_h=5, seed=8, repeats=repeats,
                              average_mode="scores"))
         assert len(singles) == repeats
         for d, h in zip(singles, old):
-            assert _max_rel(d.h, h) < 1e-12
+            assert _max_rel(d, h) < 1e-12
 
     def test_blocks_consume_the_stream_of_one_draw(self):
         # n_h = 1024 gives 256-row blocks at the real block size, so
@@ -151,7 +151,7 @@ class TestStreamedBuild:
         cfg = SketchConfig(n_h=1024, seed=5, repeats=3,
                            average_mode="scores")
         for d, h in zip(build_dictionaries(vs, cfg), _old_products(vs, cfg)):
-            assert np.array_equal(d.h, h)
+            assert np.array_equal(d, h)
 
     @pytest.mark.parametrize("average", [True, False])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, average):
