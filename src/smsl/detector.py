@@ -18,25 +18,35 @@ class DetectorConfig:
     solver: SolverConfig = SolverConfig()
 
 
+# pixel columns scored at a time: a block's n_h x 512 coefficient
+# difference (2 MB at n_h = 500) replaces a whole-scene n_h x N one
+_SCORE_COLUMNS = 512
+
+
 def score_multiview(h, d: list, e: list, height: int, width: int) -> DetectionMap:
     """Sum over consecutive views (s, s+1) of the per-pixel pair score
     ||H(D^{s+1} - D^s)|| + ||E^{s+1} - E^s||, with H the L x n_h
-    dictionary array."""
+    dictionary array, over blocks of at most _SCORE_COLUMNS pixels."""
     if len(d) < 2 or len(e) != len(d):
         raise ValueError("need coefficient/noise matrices for >= 2 views")
     h = np.asarray(h)
-    total = np.zeros(height * width)
-    for d1, d2, e1, e2 in zip(d, d[1:], e, e[1:]):
-        diff = np.asarray(d2) - np.asarray(d1)
-        if h.shape[1] != diff.shape[0]:
-            raise ValueError(f"dictionary width {h.shape[1]} != "
-                             f"coefficient rows {diff.shape[0]}")
-        diff = h @ diff  # H(D^{s+1} - D^s); frees the n_h x N difference
-        e1, e2 = np.asarray(e1), np.asarray(e2)
-        if e1.shape != e2.shape or e1.shape[1] != diff.shape[1]:
-            raise ValueError("noise matrices must match the coefficient shape")
-        total += (np.linalg.norm(diff, axis=0)
-                  + np.linalg.norm(e2 - e1, axis=0))
+    d = [np.asarray(x) for x in d]
+    e = [np.asarray(x) for x in e]
+    n_pixels = height * width
+    for x in d:
+        if x.shape != (h.shape[1], n_pixels):
+            raise ValueError(f"coefficients of shape {x.shape} do not match "
+                             f"dictionary width {h.shape[1]} and {n_pixels} "
+                             "pixels")
+    if any(x.shape != e[0].shape or x.shape[1] != n_pixels for x in e):
+        raise ValueError("noise matrices must match the coefficient shape")
+    total = np.zeros(n_pixels)
+    for a in range(0, n_pixels, _SCORE_COLUMNS):
+        cols = slice(a, a + _SCORE_COLUMNS)
+        for d1, d2, e1, e2 in zip(d, d[1:], e, e[1:]):
+            total[cols] += (
+                np.linalg.norm(h @ (d2[:, cols] - d1[:, cols]), axis=0)
+                + np.linalg.norm(e2[:, cols] - e1[:, cols], axis=0))
     return DetectionMap(height, width, total)
 
 

@@ -10,23 +10,26 @@ rho=1.1, 60 iterations, tolerance 1e-5.
 
 Both linear systems are a I + b G with the Gram matrix G = H'H + 11' of the
 L x n_h dictionary H, whose rank r is at most L+1. One thin SVD of [H', 1]
-gives G = U diag(g) U' with U of shape n_h x r, and the Woodbury identity
-turns every C and D solve into products with U. C, J and Y4 start at zero
-and never leave range(U), so solve() thresholds the r x N matrix
-U'(C + Y4/mu) instead of the n_h x N one. Both savings vanish when
-n_h <= L+1, where r = n_h. The SVT and both products with U are skipped
-whenever ||C + Y4/mu||_F <= lambda1/mu, which under the default schedule
-holds at every iteration of the synthetic benchmark scenes.
+gives G = U diag(g) U' with U of shape n_h x r. C, J and Y4 start at zero
+and never leave range(U), so when r < n_h solve() holds them as their
+r x N coordinates c = U'C, j = U'J and y4 = U'Y4 (SolverState.basis is U).
+In coordinates the C system is diagonal, c = b / (1 + S g), the SVT for J
+acts on the r x N matrix c + y4/mu, and a block's n_h-row C = U c is formed
+only inside the column-blocked kernel. The D system goes through U by the
+Woodbury identity. With n_h <= L+1, r = n_h: the coordinates are the n_h x N
+entries themselves, and G and the inverses are dense n_h x n_h matrices.
+The SVT is skipped whenever ||C + Y4/mu||_F <= lambda1/mu, which under the
+default schedule holds at every iteration of the synthetic benchmark scenes.
 
 Every step but J acts on each pixel column alone (ADMM split across
 examples), so an iteration is one kernel over blocks of at most
-_BLOCK_COLUMNS pixel columns. Pass A takes a block through C, then per
-view D^s, E^s, W^s and the ascent on Y1^s, Y2^s, Y3^s. It forms q_s =
+_BLOCK_COLUMNS pixel columns. Pass A takes a block through C and each D^s,
+then per view E^s, W^s and the ascent on Y1^s, Y2^s, Y3^s. It forms q_s =
 H'(X^s - E^s + Y1^s/mu) once per view for both the C and the D^s
 right-hand sides, and the data-fit gap reuses H(C + D^s) from the E step.
 J feeds none of these steps, so the calling thread decides it after pass
 A, from the block sums of ||C + Y4/mu||_F^2; pass B then takes the C-J gap
-and the ascent on Y4.
+(while J is zero, pass A's max |C|) and the ascent on Y4.
 The residuals double as the finiteness check. The column-sum gap r3 sees
 every entry of C and of each D^s (D >= 0), the E-W gap r2 sees E^s and
 W^s, the C-J gap r4 sees J, and each multiplier moves by mu times its gap.
@@ -97,6 +100,9 @@ class SolverState:
     y3: list
     y4: np.ndarray
     mu: float
+    # U (n_h x r) when c, j and y4 hold the r x N coordinates U'C, U'J and
+    # U'Y4; None when they hold the n_h x N matrices themselves
+    basis: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -122,28 +128,35 @@ def _as_matrices(views) -> list:
 
 
 def init_state(n_views: int, n_bands: int, n_pixels: int, n_h: int,
-               mu0: float) -> SolverState:
-    """All-zero starting point."""
+               mu0: float, basis: np.ndarray | None = None) -> SolverState:
+    """All-zero starting point; C, J and Y4 as coordinates in basis (n_h x
+    r) when one is given."""
+    rows = n_h if basis is None else basis.shape[1]
     return SolverState(
-        c=np.zeros((n_h, n_pixels)),
-        j=np.zeros((n_h, n_pixels)),
+        c=np.zeros((rows, n_pixels)),
+        j=np.zeros((rows, n_pixels)),
         d=[np.zeros((n_h, n_pixels)) for _ in range(n_views)],
         e=[np.zeros((n_bands, n_pixels)) for _ in range(n_views)],
         w=[np.zeros((n_bands, n_pixels)) for _ in range(n_views)],
         y1=[np.zeros((n_bands, n_pixels)) for _ in range(n_views)],
         y2=[np.zeros(n_pixels) for _ in range(n_views)],
         y3=[np.zeros((n_bands, n_pixels)) for _ in range(n_views)],
-        y4=np.zeros((n_h, n_pixels)),
+        y4=np.zeros((rows, n_pixels)),
         mu=mu0,
+        basis=basis,
     )
 
 
 class _Gram:
     """G = H'H + 11' = U diag(g) U' of an L x n_h dictionary H, from one thin
     SVD of [H', 1]: U is n_h x r with r <= min(n_h, L+1). Singular values
-    below prox._SV_CUTOFF of the largest are dropped. With r = n_h, G and
-    each inverse are applied as dense n_h x n_h matrices, which is cheaper
-    than two products with U; with r < n_h they go through U."""
+    below prox._SV_CUTOFF of the largest are dropped.
+
+    With r < n_h, basis is U and a matrix in range(U) has the r-row
+    coordinates U'X, on which G acts as diag(g). With r = n_h, basis is
+    None: the coordinates are the n_h-row entries, and G and each inverse
+    are dense n_h x n_h matrices, which is cheaper than two products with
+    U."""
 
     def __init__(self, h: np.ndarray):
         n_h = h.shape[1]
@@ -151,14 +164,25 @@ class _Gram:
                                  full_matrices=False)
         keep = sv > _SV_CUTOFF * sv[0]
         self.u, self.g = u[:, keep], sv[keep] ** 2
-        self.full = self.u.shape[1] == n_h
-        self.dense = (self.u * self.g) @ self.u.T if self.full else None
+        full = self.u.shape[1] == n_h
+        self.basis = None if full else self.u
+        self.dense = (self.u * self.g) @ self.u.T if full else None
+        self.ones = self.coords(np.ones(n_h))
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """G x."""
-        if self.full:
-            return self.dense @ x
-        return self.u @ (self.g[:, None] * (self.u.T @ x))
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """U'x, the coordinates of an x in range(U)."""
+        return x if self.basis is None else self.u.T @ x
+
+    def scale(self, c: np.ndarray) -> np.ndarray:
+        """The coordinates of G X, from those of X."""
+        return self.dense @ c if self.basis is None else self.g[:, None] * c
+
+    def coords_inverse(self, a: float, b: float):
+        """The map c -> (a I + b G)^-1 c on coordinates."""
+        if self.basis is None:
+            return self.inverse(a, b)
+        w = (1.0 / (a + b * self.g))[:, None]
+        return lambda c: c * w
 
     def inverse(self, a: float, b: float):
         """The map x -> (a I + b G)^-1 x, by Woodbury when r < n_h, which
@@ -166,7 +190,7 @@ class _Gram:
         r < n_h is singular: LinAlgError."""
         u = self.u
         w = 1.0 / (a + b * self.g)
-        if self.full:
+        if self.basis is None:
             inv = (u * w) @ u.T
             return lambda x: inv @ x
         if a == 0:
@@ -188,12 +212,12 @@ class _Gram:
 # pixel columns per block of an iteration: a block's n_h x 512 float64
 # temporaries (2 MB at n_h = 500) stay in cache from one step to the next
 _BLOCK_COLUMNS = 512
-# glibc returns the free memory at the top of its heap to the system once it
-# exceeds twice the largest mapping freed so far, which in a solve of a small
-# scene is J (n_h x N, reallocated every iteration). A block holds about 7
-# n_h x k temporaries at its peak, which stay below that with k <= N/5;
-# larger blocks faulted their memory back in after every block, which made
-# an iteration at N = 1000 about 30% slower.
+# In a solve of a small scene, glibc hands larger block temporaries back to
+# the system (a fresh mapping above its mmap threshold, a trimmed heap top)
+# and faults them in again block after block. At L = 16, n_h = 50 and
+# N = 1000 with one block thread, blocks of N/5 columns took a median 3.4 ms
+# an iteration against 4.3 ms for 512 + 488 (12 runs each); with glibc's mmap
+# and trim thresholds raised to 1 GB, the two blocks took 2.7 ms against 3.5.
 _MIN_BLOCKS = 5
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _ALL = slice(None)
@@ -224,29 +248,38 @@ def _q_block(h, state, x, s, cols) -> np.ndarray:
     return h.T @ t
 
 
-def _c_block(gram, inv_c, state, qs, cols) -> np.ndarray:
-    """C from A C = B, A = I + S G and B = J - Y4/mu + sum_s (q_s - G D^s
-    + 1(1 - Y2^s/mu)')."""
+def _expand(basis, c: np.ndarray) -> np.ndarray:
+    """The n_h-row matrix with coordinates c: U c, or c without a basis."""
+    return c if basis is None else basis @ c
+
+
+def _c_step(gram, inv_c, state, qs, b, cols) -> np.ndarray:
+    """Coordinates of C from A C = B, A = I + S G and B = J - Y4/mu +
+    sum_s (q_s - G D^s + 1(1 - Y2^s/mu)'), given b, the coordinates of
+    J - Y4/mu (overwritten). With r < n_h, A is diag(1 + S g)."""
     mu = state.mu
-    b = state.y4[:, cols] / -mu
-    b += state.j[:, cols]
-    for q in qs:
-        b += q
+    # with r < n_h, one product with U takes the sum of the q_s
+    if gram.basis is None:
+        for q in qs:
+            b += q
+    else:
+        b += gram.coords(sum(qs[1:], qs[0]))
     dsum = state.d[0][:, cols].copy()
     row = 1.0 - state.y2[0][cols] / mu
     for s in range(1, len(qs)):
         dsum += state.d[s][:, cols]
         row += 1.0 - state.y2[s][cols] / mu
-    b -= gram(dsum)
-    b += row
+    b -= gram.scale(gram.coords(dsum))
+    b += gram.ones[:, None] * row
     return inv_c(b)
 
 
 def _d_block(inv_d, state, q, gc, s, cols, lambda3, out=None) -> np.ndarray:
     """D^s from (lambda2 I + mu G) D = mu (q_s - G C) + 1(mu - Y2^s)'
-    - lambda3 sum_{t != s} |D^t|, clipped to be nonnegative (into out)."""
+    - lambda3 sum_{t != s} |D^t|, clipped to be nonnegative (into out).
+    The right-hand side is formed in q."""
     mu = state.mu
-    rhs = q - gc
+    rhs = np.subtract(q, gc, out=q)
     rhs *= mu
     rhs += mu - state.y2[s][cols]
     for t, d in enumerate(state.d):
@@ -254,15 +287,16 @@ def _d_block(inv_d, state, q, gc, s, cols, lambda3, out=None) -> np.ndarray:
             penalty = np.abs(d[:, cols])
             penalty *= lambda3
             rhs -= penalty
+            del penalty  # freed before the solve's n_h x k product
     return np.maximum(inv_d(rhs), 0.0, out=out)
 
 
-def _e_block(h, state, x, s, cols, out=None) -> tuple:
-    """(E^s, C + D^s, X^s - H(C + D^s)): the stationary point of the two
-    quadratic penalties tied to E^s (into out), and the terms the gaps
-    reuse."""
+def _e_block(h, state, c, x, s, cols, out=None) -> tuple:
+    """(E^s, C + D^s, X^s - H(C + D^s)) for the n_h-row block c of C: the
+    stationary point of the two quadratic penalties tied to E^s (into out),
+    and the terms the gaps reuse."""
     mu = state.mu
-    cd = state.c[:, cols] + state.d[s][:, cols]
+    cd = c + state.d[s][:, cols]
     fit = x[:, cols] - h @ cd
     y_mu = state.y1[s][:, cols] / mu
     e = np.add(fit, y_mu, out=out)
@@ -304,57 +338,76 @@ def _gap_block(state, s, cd, fit, cols) -> tuple:
             _use(cd.sum(axis=0) - 1.0, state.y2[s][cols], mu))
 
 
-def _cj_block(state, cols, j_zero=False) -> float:
-    """Max-abs C-J gap, and the ascent on Y4."""
+def _cj_block(state, cols, j_zero=False):
+    """The ascent on Y4 by mu (C - J) in place, and the max-abs C-J gap
+    over the block's n_h-row entries (None while J is zero: pass A took
+    max |C| then)."""
     gap = state.c[:, cols] if j_zero else state.c[:, cols] - state.j[:, cols]
-    r = _max_abs(gap)
+    r = None if j_zero else _max_abs(_expand(state.basis, gap))
     state.y4[:, cols] += state.mu * gap
     return r
 
 
 def _pass_a(h, xs, gram, inv_c, inv_d, state, lambda3, cols) -> tuple:
-    """C, then D^s, E^s, W^s and the ascent on Y1^s, Y2^s, Y3^s view by
-    view, on one block of columns. Returns (||C + Y4/mu||_F^2, r1, r2, r3)
-    over the block."""
+    """C and each D^s, then E^s, W^s and the ascent on Y1^s, Y2^s, Y3^s
+    view by view, on one block of columns. No D^t step reads what the
+    later steps of a view write, so this is the Gauss-Seidel order.
+    Returns (||C + Y4/mu||_F^2, r1, r2, r3, max |C|) over the block."""
+    mu = state.mu
     qs = [_q_block(h, state, x, s, cols) for s, x in enumerate(xs)]
-    c = state.c[:, cols] = _c_block(gram, inv_c, state, qs, cols)
-    gc = gram(c)
-    r = np.zeros(3)
-    for s, x in enumerate(xs):
+    b = state.y4[:, cols] / -mu
+    b += state.j[:, cols]
+    coords = state.c[:, cols] = _c_step(gram, inv_c, state, qs, b, cols)
+    gc = _expand(state.basis, gram.scale(coords))
+    for s in range(len(xs)):
         _d_block(inv_d, state, qs[s], gc, s, cols, lambda3,
                  out=state.d[s][:, cols])
-        _, cd, fit = _e_block(h, state, x, s, cols, out=state.e[s][:, cols])
+    del qs, gc  # freed before the E^s steps take their n_h x k blocks
+    c = _expand(state.basis, coords)
+    r = np.zeros(3)
+    for s, x in enumerate(xs):
+        _, cd, fit = _e_block(h, state, c, x, s, cols,
+                              out=state.e[s][:, cols])
         state.w[s][:, cols] = _w_block(state, s, cols)
         # np.maximum keeps a NaN gap; the builtin max(0.0, nan) drops it
         r = np.maximum(r, _gap_block(state, s, cd, fit, cols))
-    m = state.y4[:, cols] / state.mu
-    m += c
-    return (float(np.vdot(m, m)), *r)
+    m = state.y4[:, cols] / mu
+    m += coords
+    return (float(np.vdot(m, m)), *r, _max_abs(c))
 
 
 def update_c(state: SolverState, views, h) -> np.ndarray:
-    """Least-squares block for C: solve A C = B, A = S H'H + S 11' + I."""
+    """Least-squares block for C: solve A C = B, A = S H'H + S 11' + I,
+    for a state held in n_h space. B lies in range(U) but for the part of
+    J - Y4/mu outside it, on which A is I."""
     h = np.asarray(h, dtype=np.float64)
     xs = _as_matrices(views)
     gram = _Gram(h)
     qs = [_q_block(h, state, x, s, _ALL) for s, x in enumerate(xs)]
-    return _c_block(gram, gram.inverse(1.0, len(xs)), state, qs, _ALL)
+    jy = state.j - state.y4 / state.mu
+    b = gram.coords(jy)
+    rest = jy - _expand(gram.basis, b)
+    c = _c_step(gram, gram.coords_inverse(1.0, len(xs)), state, qs, b, _ALL)
+    return _expand(gram.basis, c) + rest
 
 
 def update_d(state: SolverState, views, h, s: int,
              cfg: SolverConfig) -> np.ndarray:
-    """Ridge solve for view s's specific block, clipped to be nonnegative."""
+    """Ridge solve for view s's specific block, clipped to be nonnegative,
+    for a state held in n_h space."""
     h = np.asarray(h, dtype=np.float64)
     xs = _as_matrices(views)
     gram = _Gram(h)
+    gc = _expand(gram.basis, gram.scale(gram.coords(state.c)))
     return _d_block(gram.inverse(cfg.lambda2, state.mu), state,
-                    _q_block(h, state, xs[s], s, _ALL), gram(state.c), s,
-                    _ALL, cfg.lambda3)
+                    _q_block(h, state, xs[s], s, _ALL), gc, s, _ALL,
+                    cfg.lambda3)
 
 
 def update_e(state: SolverState, views, h, s: int) -> np.ndarray:
-    """Stationary point of the two quadratic penalties tied to E^s."""
-    return _e_block(np.asarray(h, dtype=np.float64), state,
+    """Stationary point of the two quadratic penalties tied to E^s, for a
+    state held in n_h space."""
+    return _e_block(np.asarray(h, dtype=np.float64), state, state.c,
                     _as_matrices(views)[s], s, _ALL)[0]
 
 
@@ -382,9 +435,9 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
             f"dictionary has {h.shape[0]} bands, views have {n_bands}"
         )
 
-    state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0)
     gram = _Gram(h)
-    inv_c = gram.inverse(1.0, n_views)
+    state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0, gram.basis)
+    inv_c = gram.coords_inverse(1.0, n_views)
     blocks = _column_blocks(n_pixels)
     workers = _block_workers(len(blocks))
 
@@ -400,20 +453,20 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
             # the block sums are combined in block order, whatever the
             # workers
             m2 = sum(p[0] for p in parts)
-            r = np.max([p[1:] for p in parts], axis=0)
+            r = np.max([p[1:4] for p in parts], axis=0)
             if not (np.isfinite(m2) and np.isfinite(r).all()):
                 _check_finite(state, it)
-            # M = C + Y4/mu lies in range(U), so its SVT is U svt(U'M), and
-            # ||U'M||_F = ||M||_F: at or below the threshold J is zero.
+            # M = C + Y4/mu lies in range(U), so its SVT is U svt(U'M): J's
+            # coordinates are the SVT of M's. ||U'M||_F = ||M||_F, so at or
+            # below the threshold J is zero (np.zeros: pages never written).
             tau = cfg.lambda1 / mu
             j_zero = np.sqrt(m2) <= tau
             if j_zero:
-                state.j = np.zeros((n_h, n_pixels))
+                state.j = np.zeros(state.c.shape)
             else:
-                u = gram.u
-                state.j = u @ svt(u.T @ (state.c + state.y4 / mu), tau)
-            r4 = float(np.max(list(run(partial(
-                _cj_block, state, j_zero=j_zero), blocks))))
+                state.j = svt(state.c + state.y4 / mu, tau)
+            gaps = list(run(partial(_cj_block, state, j_zero=j_zero), blocks))
+            r4 = float(np.max([p[4] for p in parts] if j_zero else gaps))
             if not np.isfinite(r4):
                 _check_finite(state, it)
             r = (*map(float, r), r4)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,10 +95,43 @@ class TestScoreMultiview:
                             [np.ones((2, 2))], 1, 2)
 
     def test_shape_mismatch(self):
-        # a dictionary of width 2 against coefficients with 3 rows
+        # a dictionary of width 2 against coefficients with 3 rows, and
+        # coefficients with 5 columns for 2 x 2 pixels
         with pytest.raises(ValueError, match="dictionary width"):
             score_multiview(np.ones((3, 2)), [np.ones((3, 4))] * 2,
                             [np.ones((3, 4))] * 2, 2, 2)
+        with pytest.raises(ValueError, match="dictionary width"):
+            score_multiview(np.ones((3, 2)), [np.ones((2, 5))] * 2,
+                            [np.ones((3, 5))] * 2, 2, 2)
+
+    def test_column_blocks_match_whole_arrays(self):
+        # 1100 pixels: two full blocks of 512 and a ragged one of 76
+        rng = np.random.default_rng(6)
+        h = rng.standard_normal((5, 9))
+        d = [np.abs(rng.standard_normal((9, 1100))) for _ in range(3)]
+        e = [rng.standard_normal((5, 1100)) for _ in range(3)]
+        total = np.zeros(1100)
+        for s in range(2):
+            total += (np.linalg.norm(h @ (d[s + 1] - d[s]), axis=0)
+                      + np.linalg.norm(e[s + 1] - e[s], axis=0))
+        assert np.array_equal(score_multiview(h, d, e, 20, 55).scores,
+                              total.reshape(20, 55))
+
+    def test_peak_memory_below_a_quarter_of_one_coefficient_array(self):
+        # the n_h x N coefficient difference is formed one column block
+        # at a time
+        rng = np.random.default_rng(7)
+        n_h, n_pixels = 500, 4096
+        h = rng.standard_normal((16, n_h))
+        d = [np.abs(rng.standard_normal((n_h, n_pixels))) for _ in range(2)]
+        e = [rng.standard_normal((16, n_pixels)) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            score_multiview(h, d, e, 64, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_h * n_pixels * 8 / 4
 
     def test_noise_shape_mismatch(self):
         with pytest.raises(ValueError, match="noise matrices"):

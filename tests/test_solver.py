@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -335,6 +337,17 @@ def dense_reference_solve(xs, h, cfg):
     return st
 
 
+def in_n_h_space(state):
+    """A copy of a solve() state with C, J and Y4 as n_h x N matrices: U
+    times their coordinates when the state has a basis."""
+    state = copy.deepcopy(state)
+    if state.basis is None:
+        return state
+    u = state.basis
+    return dataclasses.replace(state, c=u @ state.c, j=u @ state.j,
+                               y4=u @ state.y4, basis=None)
+
+
 def assert_rel_close(got, expected, rtol):
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.shape == expected.shape
@@ -365,11 +378,14 @@ class TestSolve:
         xs = [rng.standard_normal((n_bands, 30)) for _ in range(n_views)]
         h = rng.standard_normal((n_bands, n_h))
         result = solve(xs, h, cfg)
-        got = result.state
+        # with n_h > L+1, C, J and Y4 are held as r x N coordinates
+        assert (result.state.basis is None) == (n_h <= n_bands + 1)
+        got = in_n_h_space(result.state)
         ref = dense_reference_solve(xs, h, cfg)
         if cfg.mu0 > SolverConfig().mu0:
             assert np.abs(ref.j).max() > 0  # the SVT keeps a nonzero part
-        assert_rel_close(got.c, ref.c, 1e-9)
+        for name in ("c", "j", "y4"):
+            assert_rel_close(getattr(got, name), getattr(ref, name), 1e-9)
         for s in range(n_views):
             assert_rel_close(got.d[s], ref.d[s], 1e-9)
             assert_rel_close(got.e[s], ref.e[s], 1e-9)
@@ -489,6 +505,23 @@ class TestSolve:
         assert all(b >= a for a, b in zip(mus, mus[1:]))
         assert mus[-1] <= SolverConfig().mu_max
 
+    def test_peak_memory_with_coordinates(self, monkeypatch):
+        # r = 17 < n_h = 500: C, J and Y4 are 17 x N coordinates, so the
+        # only n_h x N arrays are the S blocks D^s
+        monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 1)
+        rng = np.random.default_rng(35)
+        n_views, n_h, n_pixels = 2, 500, 4096
+        xs = [rng.standard_normal((16, n_pixels)) for _ in range(n_views)]
+        h = rng.standard_normal((16, n_h))
+        tracemalloc.start()
+        try:
+            result = solve(xs, h, SolverConfig(max_iter=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n_views + 1) * n_h * n_pixels * 8
+        assert result.state.basis.shape == (n_h, 17)
+
     def test_converged_flag_sound(self):
         # an aggressive penalty schedule that actually reaches feasibility
         rng = np.random.default_rng(24)
@@ -499,7 +532,8 @@ class TestSolve:
                            epsilon=1e-5)
         res = solve(xs, h, cfg)
         assert res.converged
-        r = gaps_then_ascent(copy.deepcopy(res.state), xs, h)
+        assert res.state.basis is not None  # n_h = 8 > L+1 = 5
+        r = gaps_then_ascent(in_n_h_space(res.state), xs, h)
         assert max(r) < cfg.epsilon
 
     def test_dimension_mismatch_rejected(self):
@@ -524,15 +558,15 @@ class TestSolve:
     def test_non_finite_c_reported_before_the_j_step(self, monkeypatch):
         # a NaN in C fails as SolverError naming C and its iteration, not
         # in the SVT of C + Y4/mu
-        c_block = solver_mod._c_block
+        c_step = solver_mod._c_step
 
-        def nan_from_iteration_2(gram, inv_c, state, qs, cols):
-            c = c_block(gram, inv_c, state, qs, cols)
+        def nan_from_iteration_2(gram, inv_c, state, qs, b, cols):
+            c = c_step(gram, inv_c, state, qs, b, cols)
             if state.mu > ACTIVE_SVT.mu0:
                 c[0, 0] = np.nan
             return c
 
-        monkeypatch.setattr(solver_mod, "_c_block", nan_from_iteration_2)
+        monkeypatch.setattr(solver_mod, "_c_step", nan_from_iteration_2)
         rng = np.random.default_rng(34)
         xs = [rng.standard_normal((4, 30)) for _ in range(2)]
         with pytest.raises(SolverError, match="in C at iteration 2"):
