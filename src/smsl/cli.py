@@ -2,9 +2,13 @@
 
 Subcommands: detect, baseline, eval, synth, sweep, rerun. Every run writes a
 JSON manifest next to its outputs with the resolved parameters, seeds and the
-sha256 of every input file; `smsl rerun MANIFEST` checks those checksums
-(exit 1 on a mismatch), then replays the recorded command and reproduces the
-outputs bitwise.
+sha256 of every input and output file (a cube or score header together with
+its payload). `smsl rerun MANIFEST` checks the input checksums (exit 1 on a
+mismatch), replays the recorded command into a temporary directory and
+compares the sha256 of each output with the recorded one: exit 1 naming the
+first file that differs. The original outputs are left as they are. A
+manifest without output checksums is replayed over its outputs, with a
+warning.
 
 Exit codes: 0 success, 1 runtime/data failure, 2 usage/config error.
 """
@@ -16,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 
 from . import baselines, cube, solver
@@ -90,12 +95,12 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _input_checksums(inputs: list, verified: dict) -> dict:
-    """sha256 of every input file and of every payload an input header
-    names, keyed by path; a file named twice is hashed once, and a file
-    with a digest in `verified` is not hashed again."""
+def _checksums(paths: list, verified: dict) -> dict:
+    """sha256 of every file in paths and of every payload a header among
+    them names, keyed by path; a file named twice is hashed once, and a
+    file with a digest in `verified` is not hashed again."""
     sums = {}
-    for path in inputs:
+    for path in paths:
         for name in cube.input_files(path):
             if name not in sums:
                 sums[name] = verified.get(name) or _sha256(name)
@@ -112,8 +117,9 @@ def _write_manifest(path: str, command: str, argv: list, args,
         "argv": list(argv),
         "params": _params_dict(args, exclude),
         "inputs": list(inputs),
-        "input_sha256": _input_checksums(inputs, args.verified_sha256),
+        "input_sha256": _checksums(inputs, args.verified_sha256),
         "outputs": list(outputs),
+        "output_sha256": _checksums(outputs, {}),
         "wall_time_s": wall_time,
     }
     if convergence is not None:
@@ -142,6 +148,8 @@ def cmd_detect(args, argv) -> int:
         "converged": result.converged,
         "iterations_run": result.iterations_run,
         "final_max_residual": result.residual_history[-1],
+        "svt_iterations": result.svt_iterations,
+        "w_nonzero_columns": result.w_nonzero_columns,
     }
     _write_manifest(_manifest_path(args.out), "detect", argv, args,
                     ("cubes", "out", "trace"), args.cubes, outputs, elapsed,
@@ -236,6 +244,36 @@ def cmd_sweep(args, argv) -> int:
     return 0
 
 
+# arguments that name a file a command writes; synth's out_dir names a
+# directory
+_OUTPUT_FILES = ("out", "trace", "roc_out")
+
+
+def _replay_dir(directory: str, replay_dir: str) -> str:
+    """Where a replay into replay_dir writes what a run wrote to directory:
+    a subdirectory named by a digest of its absolute path."""
+    key = hashlib.sha256(os.path.abspath(directory).encode()).hexdigest()
+    return os.path.join(replay_dir, key[:16])
+
+
+def _replay_path(path: str, replay_dir: str) -> str:
+    """Where a replay writes the file `path`. The file name is kept: a
+    header names its payload by file name."""
+    return os.path.join(_replay_dir(os.path.dirname(path), replay_dir),
+                        os.path.basename(path))
+
+
+def _redirect_outputs(args, replay_dir: str) -> None:
+    """Point the output arguments of args under replay_dir."""
+    for name in _OUTPUT_FILES:
+        if getattr(args, name, None) is not None:
+            path = _replay_path(getattr(args, name), replay_dir)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            setattr(args, name, path)
+    if getattr(args, "out_dir", None) is not None:
+        args.out_dir = _replay_dir(args.out_dir, replay_dir)
+
+
 def cmd_rerun(args, _argv) -> int:
     with open(args.manifest, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
@@ -246,7 +284,24 @@ def cmd_rerun(args, _argv) -> int:
                 f"{path}: sha256 differs from the one recorded in "
                 f"{args.manifest}; the replay would not reproduce the run"
             )
-    return _run(manifest["argv"], recorded)
+    expected = manifest.get("output_sha256")
+    if expected is None:
+        print(f"smsl: warning: {args.manifest} records no output checksums; "
+              "replaying over its outputs without comparing them",
+              file=sys.stderr)
+        return _run(manifest["argv"], recorded)
+    with tempfile.TemporaryDirectory(prefix="smsl-rerun-") as tmp:
+        code = _run(manifest["argv"], recorded, tmp)
+        if code != 0:
+            return code
+        with open(_replay_path(args.manifest, tmp), encoding="ascii") as fh:
+            replayed = json.load(fh)["output_sha256"]
+        for path in sorted(expected):
+            if replayed.get(_replay_path(path, tmp)) != expected[path]:
+                raise cube.FormatError(
+                    f"{path}: the replay's sha256 differs from the one "
+                    f"recorded in {args.manifest}")
+    return 0
 
 
 def _params_dict(args, exclude=()) -> dict:
@@ -311,15 +366,19 @@ def main(argv=None) -> int:
     return _run(list(argv), {})
 
 
-def _run(argv: list, verified_sha256: dict) -> int:
+def _run(argv: list, verified_sha256: dict, replay_dir=None) -> int:
     """Parse and run one command. `verified_sha256` maps input paths to
-    digests the caller has just checked; the manifest reuses them."""
+    digests the caller has just checked; the manifest reuses them. With a
+    replay_dir, the command writes its outputs and manifest under it
+    instead (see _replay_path)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     args.verified_sha256 = verified_sha256
+    if replay_dir is not None:
+        _redirect_outputs(args, replay_dir)
     try:
         return args.func(args, argv)
     except UsageError as exc:

@@ -37,16 +37,24 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     return (u[:, keep] * s[keep]) @ vt[keep]
 
 
-def l21_shrink(q: np.ndarray, threshold: float) -> np.ndarray:
-    """Column-wise shrinkage: prox of threshold * (sum of column l2 norms)."""
+def l21_columns(q: np.ndarray, threshold: float) -> tuple:
+    """Column-wise shrinkage, the prox of threshold * (sum of column l2
+    norms), as its nonzero columns: (sorted column indices, their values)."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     q = np.asarray(q, dtype=np.float64)
     norms = np.linalg.norm(q, axis=0)
-    scale = np.zeros_like(norms)
-    big = norms > threshold
-    scale[big] = (norms[big] - threshold) / norms[big]
-    return q * scale
+    idx = np.flatnonzero(norms > threshold)
+    big = norms[idx]
+    return idx, q[:, idx] * ((big - threshold) / big)
+
+
+def l21_shrink(q: np.ndarray, threshold: float) -> np.ndarray:
+    """Column-wise shrinkage: prox of threshold * (sum of column l2 norms)."""
+    idx, values = l21_columns(q, threshold)
+    out = np.zeros(np.shape(q))
+    out[:, idx] = values
+    return out
 
 
 def exclusivity(u: np.ndarray, v: np.ndarray) -> float:

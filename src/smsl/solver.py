@@ -4,8 +4,9 @@ multi-view subspace model.
 Per outer iteration the blocks are updated in order: the shared coefficient
 matrix C, its low-rank auxiliary J, then per view the specific matrix D^s
 (Gauss-Seidel: each view sees the freshest D^t of the others), the noise
-matrix E^s and its column-sparse auxiliary W^s; finally all multipliers and
-the penalty mu. Initialization is all-zero with mu0=1e-5, mu_max=1e5,
+matrix E^s and its column-sparse auxiliary W^s; finally the multipliers
+Y1^s, Y2^s and Y4 (the one of E^s = W^s is implied, see below) and the
+penalty mu. Initialization is all-zero with mu0=1e-5, mu_max=1e5,
 rho=1.1, 60 iterations, tolerance 1e-5.
 
 Both linear systems are a I + b G with the Gram matrix G = H'H + 11' of the
@@ -21,10 +22,22 @@ entries themselves, and G and the inverses are dense n_h x n_h matrices.
 The SVT is skipped whenever ||C + Y4/mu||_F <= lambda1/mu, which under the
 default schedule holds at every iteration of the synthetic benchmark scenes.
 
+The E-W constraint E^s = W^s needs no stored multiplier. Write W_k for
+the W^s of iteration k and mu_k for its mu, and fit = X^s - H(C + D^s).
+The E^s step is the stationary point 2 E = fit + W_{k-1} + (Y1 - Y3)/mu_k,
+and the ascents on Y1^s and Y3^s use that E^s, by mu_k (fit - E) and
+mu_k (E - W_k). So after every iteration Y1^s - Y3^s = mu_k (W_k - W_{k-1}),
+from zero at the start, and solve() holds no Y3^s: with
+delta = (mu_k/mu)(W_k - W_{k-1}), the next E^s is (fit + W_k + delta)/2,
+and the next W^s, the l2,1 shrinkage of E^s + Y3^s/mu at 1/mu, is that of
+W_k + Y1^s/mu once the ascent on Y1^s has run. W^s is column-sparse (the
+l2,1 prox keeps whole columns or none), so W_k and W_{k-1} are held as
+sorted column indices plus the L x m values of those columns.
+
 Every step but J acts on each pixel column alone (ADMM split across
 examples), so an iteration is one kernel over blocks of at most
 _BLOCK_COLUMNS pixel columns. Pass A takes a block through C and each D^s,
-then per view E^s, W^s and the ascent on Y1^s, Y2^s, Y3^s. It forms q_s =
+then per view E^s, the ascent on Y1^s and Y2^s, and W^s. It forms q_s =
 H'(X^s - E^s + Y1^s/mu) once per view for both the C and the D^s
 right-hand sides, and the data-fit gap reuses H(C + D^s) from the E step.
 J feeds none of these steps, so the calling thread decides it after pass
@@ -48,13 +61,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .cube import ViewSet
-from .prox import _SV_CUTOFF, l21_shrink, svt
+from .prox import _SV_CUTOFF, l21_columns, svt
 from .sketch import _available_cpus
 
 
@@ -88,21 +101,28 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """All primal blocks and multipliers; shapes fixed by (L, N, N_H, S)."""
+    """The primal blocks and multipliers of solve(); shapes fixed by
+    (L, N, n_h, S).
+
+    W^s is column-sparse: its nonzero columns are w_cols[s] (sorted) with
+    the L x m values w[s], and every other column is zero. solve() holds no
+    Y3^s (see the module docstring), so y3 is empty in its states;
+    update_e reads an explicit Y3^s from y3 when it is given one."""
 
     c: np.ndarray
     j: np.ndarray
     d: list
     e: list
     w: list
+    w_cols: list
     y1: list
     y2: list  # one length-N row per view (column-sum constraint multiplier)
-    y3: list
     y4: np.ndarray
     mu: float
     # U (n_h x r) when c, j and y4 hold the r x N coordinates U'C, U'J and
     # U'Y4; None when they hold the n_h x N matrices themselves
     basis: np.ndarray | None = None
+    y3: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -110,6 +130,8 @@ class SolveResult:
     state: SolverState
     converged: bool
     trace: list  # per-iteration (iteration, r1, r2, r3, r4, mu)
+    svt_iterations: int  # iterations after which J was nonzero
+    w_nonzero_columns: list  # per view, the most nonzero W^s columns held
 
     @property
     def iterations_run(self) -> int:
@@ -129,18 +151,18 @@ def _as_matrices(views) -> list:
 
 def init_state(n_views: int, n_bands: int, n_pixels: int, n_h: int,
                mu0: float, basis: np.ndarray | None = None) -> SolverState:
-    """All-zero starting point; C, J and Y4 as coordinates in basis (n_h x
-    r) when one is given."""
+    """All-zero starting point (W^s with no nonzero column, no Y3^s); C, J
+    and Y4 as coordinates in basis (n_h x r) when one is given."""
     rows = n_h if basis is None else basis.shape[1]
     return SolverState(
         c=np.zeros((rows, n_pixels)),
         j=np.zeros((rows, n_pixels)),
         d=[np.zeros((n_h, n_pixels)) for _ in range(n_views)],
         e=[np.zeros((n_bands, n_pixels)) for _ in range(n_views)],
-        w=[np.zeros((n_bands, n_pixels)) for _ in range(n_views)],
+        w=[np.zeros((n_bands, 0)) for _ in range(n_views)],
+        w_cols=[np.zeros(0, dtype=np.intp) for _ in range(n_views)],
         y1=[np.zeros((n_bands, n_pixels)) for _ in range(n_views)],
         y2=[np.zeros(n_pixels) for _ in range(n_views)],
-        y3=[np.zeros((n_bands, n_pixels)) for _ in range(n_views)],
         y4=np.zeros((rows, n_pixels)),
         mu=mu0,
         basis=basis,
@@ -291,27 +313,45 @@ def _d_block(inv_d, state, q, gc, s, cols, lambda3, out=None) -> np.ndarray:
     return np.maximum(inv_d(rhs), 0.0, out=out)
 
 
-def _e_block(h, state, c, x, s, cols, out=None) -> tuple:
-    """(E^s, C + D^s, X^s - H(C + D^s)) for the n_h-row block c of C: the
-    stationary point of the two quadratic penalties tied to E^s (into out),
-    and the terms the gaps reuse."""
-    mu = state.mu
+def _in_block(w, cols) -> tuple:
+    """The part in the block of columns cols of a column-sparse w = (sorted
+    column indices, their values), with block-local indices."""
+    idx, values = w
+    lo, hi = np.searchsorted(idx, (cols.start, cols.stop))
+    return idx[lo:hi] - cols.start, values[:, lo:hi]
+
+
+def _e_term(w, w_old, ratio) -> tuple:
+    """(idx, T) with T = W + ratio (W - W_old) on the block-local columns
+    idx where W or W_old is nonzero, given both as (indices, values): the
+    W^s + (Y1^s - Y3^s)/mu of the E^s step, with ratio = mu_k/mu."""
+    idx = np.union1d(w[0], w_old[0])
+    t = np.zeros((w[1].shape[0], idx.size))
+    t[:, np.searchsorted(idx, w_old[0])] = -ratio * w_old[1]
+    t[:, np.searchsorted(idx, w[0])] += (1.0 + ratio) * w[1]
+    return idx, t
+
+
+def _e_block(h, state, c, x, s, cols, term, out=None) -> tuple:
+    """(E^s, C + D^s, X^s - H(C + D^s)) for the n_h-row block c of C.
+    E^s = (fit + T)/2 (into out) is the stationary point of the two
+    quadratic penalties tied to E^s, where term = (idx, T) gives
+    T = W^s + (Y1^s - Y3^s)/mu on the block's columns idx, zero elsewhere."""
     cd = c + state.d[s][:, cols]
     fit = x[:, cols] - h @ cd
-    y_mu = state.y1[s][:, cols] / mu
-    e = np.add(fit, y_mu, out=out)
-    e += state.w[s][:, cols]
-    e -= np.divide(state.y3[s][:, cols], mu, out=y_mu)
-    e *= 0.5
+    e = np.multiply(fit, 0.5, out=out)
+    idx, t = term
+    e[:, idx] += 0.5 * t
     return e, cd, fit
 
 
-def _w_block(state, s, cols) -> np.ndarray:
-    """l2,1 shrinkage of E^s + Y3^s/mu at 1/mu (columnwise)."""
-    mu = state.mu
-    q = state.y3[s][:, cols] / mu
-    q += state.e[s][:, cols]
-    return l21_shrink(q, 1.0 / mu)
+def _w_block(y1, w, mu) -> tuple:
+    """The next W^s on a block as block-local (indices, values): the l2,1
+    shrinkage at 1/mu of W + Y1^s/mu, with W = w as (indices, values) and
+    y1 the block of Y1^s after its ascent."""
+    q = y1 / mu
+    q[:, w[0]] += w[1]
+    return l21_columns(q, 1.0 / mu)
 
 
 def _max_abs(a) -> float:
@@ -327,15 +367,22 @@ def _use(gap, y, mu) -> float:
     return r
 
 
-def _gap_block(state, s, cd, fit, cols) -> tuple:
-    """Max-abs data-fit, E-W and column-sum gaps of view s, each driving
-    the ascent on its multiplier. Consumes fit = X^s - H(C + D^s)."""
+def _gap_block(state, s, cd, fit, w, cols) -> tuple:
+    """The data-fit and column-sum gaps of view s, each driving the ascent
+    on its multiplier, then the next W^s from w (W^s as block-local
+    (indices, values)) and the E-W gap. Consumes fit = X^s - H(C + D^s).
+    Returns (the next W^s, (r1, r2, r3))."""
     mu = state.mu
-    fit -= state.e[s][:, cols]
-    return (_use(fit, state.y1[s][:, cols], mu),
-            _use(state.e[s][:, cols] - state.w[s][:, cols],
-                 state.y3[s][:, cols], mu),
-            _use(cd.sum(axis=0) - 1.0, state.y2[s][cols], mu))
+    e = state.e[s][:, cols]
+    y1 = state.y1[s][:, cols]
+    fit -= e
+    r1 = _use(fit, y1, mu)
+    r3 = _use(cd.sum(axis=0) - 1.0, state.y2[s][cols], mu)
+    w_new = _w_block(y1, w, mu)
+    gap = fit  # E - W_new, in the spent data-fit buffer
+    gap[...] = e
+    gap[:, w_new[0]] -= w_new[1]
+    return w_new, (r1, _max_abs(gap), r3)
 
 
 def _cj_block(state, cols, j_zero=False):
@@ -348,11 +395,14 @@ def _cj_block(state, cols, j_zero=False):
     return r
 
 
-def _pass_a(h, xs, gram, inv_c, inv_d, state, lambda3, cols) -> tuple:
-    """C and each D^s, then E^s, W^s and the ascent on Y1^s, Y2^s, Y3^s
-    view by view, on one block of columns. No D^t step reads what the
-    later steps of a view write, so this is the Gauss-Seidel order.
-    Returns (||C + Y4/mu||_F^2, r1, r2, r3, max |C|) over the block."""
+def _pass_a(h, xs, gram, inv_c, inv_d, state, w_old, ratio, lambda3,
+            cols) -> tuple:
+    """C and each D^s, then per view E^s, the ascent on Y1^s and Y2^s and
+    the next W^s, on one block of columns. No D^t step reads what the
+    later steps of a view write, so this is the Gauss-Seidel order. w_old
+    holds each W_{k-1} as (column indices, values) and ratio is mu_k/mu.
+    Returns (||C + Y4/mu||_F^2, r1, r2, r3, max |C|, the next W^s of each
+    view as block-local (indices, values))."""
     mu = state.mu
     qs = [_q_block(h, state, x, s, cols) for s, x in enumerate(xs)]
     b = state.y4[:, cols] / -mu
@@ -365,15 +415,29 @@ def _pass_a(h, xs, gram, inv_c, inv_d, state, lambda3, cols) -> tuple:
     del qs, gc  # freed before the E^s steps take their n_h x k blocks
     c = _expand(state.basis, coords)
     r = np.zeros(3)
+    w_new = []
     for s, x in enumerate(xs):
-        _, cd, fit = _e_block(h, state, c, x, s, cols,
+        w = _in_block((state.w_cols[s], state.w[s]), cols)
+        term = _e_term(w, _in_block(w_old[s], cols), ratio)
+        _, cd, fit = _e_block(h, state, c, x, s, cols, term,
                               out=state.e[s][:, cols])
-        state.w[s][:, cols] = _w_block(state, s, cols)
+        w_s, gaps = _gap_block(state, s, cd, fit, w, cols)
+        w_new.append(w_s)
         # np.maximum keeps a NaN gap; the builtin max(0.0, nan) drops it
-        r = np.maximum(r, _gap_block(state, s, cd, fit, cols))
+        r = np.maximum(r, gaps)
     m = state.y4[:, cols] / mu
     m += coords
-    return (float(np.vdot(m, m)), *r, _max_abs(c))
+    return (float(np.vdot(m, m)), *r, _max_abs(c), w_new)
+
+
+def _join_blocks(blocks, parts) -> tuple:
+    """Per view, the column indices and values of W^s over all columns,
+    from each block's block-local (indices, values) in block order."""
+    views = range(len(parts[0]))
+    cols = [np.concatenate([b.start + p[s][0] for b, p in zip(blocks, parts)])
+            for s in views]
+    values = [np.concatenate([p[s][1] for p in parts], axis=1) for s in views]
+    return cols, values
 
 
 def update_c(state: SolverState, views, h) -> np.ndarray:
@@ -406,14 +470,17 @@ def update_d(state: SolverState, views, h, s: int,
 
 def update_e(state: SolverState, views, h, s: int) -> np.ndarray:
     """Stationary point of the two quadratic penalties tied to E^s, for a
-    state held in n_h space."""
+    state held in n_h space with an explicit Y3^s."""
+    term = state.y1[s] - state.y3[s]
+    term /= state.mu
+    term[:, state.w_cols[s]] += state.w[s]
     return _e_block(np.asarray(h, dtype=np.float64), state, state.c,
-                    _as_matrices(views)[s], s, _ALL)[0]
+                    _as_matrices(views)[s], s, _ALL, (_ALL, term))[0]
 
 
 def _check_finite(state: SolverState, iteration: int) -> None:
     blocks = {"C": [state.c], "J": [state.j], "D": state.d, "E": state.e,
-              "W": state.w, "Y1": state.y1, "Y2": state.y2, "Y3": state.y3,
+              "W": state.w, "Y1": state.y1, "Y2": state.y2,
               "Y4": [state.y4]}
     for name, arrs in blocks.items():
         for arr in arrs:
@@ -441,15 +508,25 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     blocks = _column_blocks(n_pixels)
     workers = _block_workers(len(blocks))
 
+    # W_{k-1} per view as (column indices, values), and its mu_k
+    w_old, mu_old = list(zip(state.w_cols, state.w)), state.mu
     converged = False
     trace = []
+    svt_iterations = 0
+    w_nonzero = [0] * n_views
     with ThreadPoolExecutor(workers) as pool:
         run = pool.map if workers > 1 else map
         for it in range(1, cfg.max_iter + 1):
             mu = state.mu
             inv_d = gram.inverse(cfg.lambda2, mu)
             parts = list(run(partial(_pass_a, h, xs, gram, inv_c, inv_d,
-                                     state, cfg.lambda3), blocks))
+                                     state, w_old, mu_old / mu,
+                                     cfg.lambda3), blocks))
+            w_old, mu_old = list(zip(state.w_cols, state.w)), mu
+            state.w_cols, state.w = _join_blocks(blocks,
+                                                 [p[5] for p in parts])
+            w_nonzero = [max(n, len(i))
+                         for n, i in zip(w_nonzero, state.w_cols)]
             # the block sums are combined in block order, whatever the
             # workers
             m2 = sum(p[0] for p in parts)
@@ -465,6 +542,7 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
                 state.j = np.zeros(state.c.shape)
             else:
                 state.j = svt(state.c + state.y4 / mu, tau)
+                svt_iterations += bool(state.j.any())
             gaps = list(run(partial(_cj_block, state, j_zero=j_zero), blocks))
             r4 = float(np.max([p[4] for p in parts] if j_zero else gaps))
             if not np.isfinite(r4):
@@ -476,7 +554,9 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
                 converged = True
                 break
 
-    return SolveResult(state=state, converged=converged, trace=trace)
+    return SolveResult(state=state, converged=converged, trace=trace,
+                       svt_iterations=svt_iterations,
+                       w_nonzero_columns=w_nonzero)
 
 
 def write_trace_csv(trace: list, path: str) -> None:

@@ -140,7 +140,13 @@ class TestDetect:
         monkeypatch.setattr(cli, "_sha256",
                             lambda path: hashed.append(path) or sha256(path))
         assert main(["rerun", manifest_path]) == 0
-        assert sorted(hashed) == sorted(before["input_sha256"])
+        # each input once, then each file the replay writes once, in its
+        # own directory
+        n_inputs = len(before["input_sha256"])
+        assert sorted(hashed[:n_inputs]) == sorted(before["input_sha256"])
+        assert sorted(map(os.path.basename, hashed[n_inputs:])) == sorted(
+            map(os.path.basename, before["output_sha256"]))
+        assert not any(p.startswith(str(tmp_path)) for p in hashed[n_inputs:])
         with open(manifest_path) as fh:
             after = json.load(fh)
         assert after["input_sha256"] == before["input_sha256"]
@@ -156,6 +162,70 @@ class TestDetect:
         assert main(["rerun", manifest_path]) == 1
         assert "view_1.raw: sha256 differs" in capsys.readouterr().err
         assert len(hashed) == len(set(hashed))
+
+    def test_manifest_records_output_checksums_and_telemetry(self, scene,
+                                                               tmp_path):
+        out = str(tmp_path / "scores.hdr")
+        trace = str(tmp_path / "trace.csv")
+        assert main(detect_args(scene, out, ["--trace", trace])) == 0
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        sums = manifest["output_sha256"]
+        payload = out[:-4] + ".raw"
+        assert sorted(sums) == sorted([out, payload, trace])
+        with open(payload, "rb") as fh:
+            assert sums[payload] == hashlib.sha256(fh.read()).hexdigest()
+        convergence = manifest["convergence"]
+        assert 0 <= convergence["svt_iterations"] \
+            <= convergence["iterations_run"]
+        assert len(convergence["w_nonzero_columns"]) == 2
+        assert all(0 <= n <= 100 for n in convergence["w_nonzero_columns"])
+
+    def test_rerun_replays_beside_the_originals(self, scene, tmp_path):
+        out = str(tmp_path / "scores.hdr")
+        trace = str(tmp_path / "trace.csv")
+        assert main(detect_args(scene, out, ["--trace", trace])) == 0
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                  for p in tmp_path.iterdir()}
+        assert main(["rerun", out + ".manifest.json"]) == 0
+        after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                 for p in tmp_path.iterdir()}
+        assert after == before
+
+    def test_rerun_rejects_changed_output(self, scene, tmp_path, capsys):
+        # a map and its recorded digest as a build with other rounding
+        # would have written them
+        out = str(tmp_path / "scores.hdr")
+        assert main(detect_args(scene, out)) == 0
+        payload = tmp_path / "scores.raw"
+        changed = bytearray(payload.read_bytes())
+        changed[0] ^= 0x01  # lowest mantissa bit of the first score
+        payload.write_bytes(bytes(changed))
+        manifest_path = Path(out + ".manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["output_sha256"][str(payload)] = \
+            hashlib.sha256(changed).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", out + ".manifest.json"]) == 1
+        err = capsys.readouterr().err
+        assert f"{payload}: the replay's sha256 differs" in err
+        assert payload.read_bytes() == bytes(changed)
+
+    def test_rerun_of_manifest_without_output_checksums(self, scene,
+                                                        tmp_path, capsys):
+        out = str(tmp_path / "scores.hdr")
+        assert main(detect_args(scene, out)) == 0
+        manifest_path = Path(out + ".manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["output_sha256"]
+        manifest_path.write_text(json.dumps(manifest))
+        payload = (tmp_path / "scores.raw").read_bytes()
+        capsys.readouterr()
+        assert main(["rerun", str(manifest_path)]) == 0
+        assert "records no output checksums" in capsys.readouterr().err
+        assert (tmp_path / "scores.raw").read_bytes() == payload
+        # the replay wrote a manifest of its own, with the checksums
+        assert "output_sha256" in json.loads(manifest_path.read_text())
 
     def test_zero_ridge_rank_deficient_usage_error(self, scene, tmp_path,
                                                    capsys):
@@ -245,6 +315,16 @@ class TestSynth:
         assert mask.labels.sum() == 20
         v1 = cube.load_cube(str(tmp_path / "scene" / "view_1.hdr"))
         assert v1.height == 8
+
+    def test_rerun_into_a_directory(self, tmp_path):
+        out_dir = tmp_path / "scene"
+        assert main(["synth", "--out-dir", str(out_dir), "--height", "6",
+                     "--width", "5", "--bands", "4", "--anomalies", "2"]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert sorted(map(os.path.basename, manifest["output_sha256"])) == [
+            "mask.pgm", "view_1.hdr", "view_1.raw", "view_2.hdr",
+            "view_2.raw"]
+        assert main(["rerun", str(out_dir / "manifest.json")]) == 0
 
     def test_infeasible_spec_exit_2(self, tmp_path, capsys):
         code = main(["synth", "--out-dir", str(tmp_path / "s"),

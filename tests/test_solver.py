@@ -21,6 +21,9 @@ def random_instance(rng, n_views=2, n_bands=4, n_pixels=6, n_h=3, mu=0.37,
     state = init_state(n_views, n_bands, n_pixels, n_h, mu)
     state.c = rng.standard_normal((n_h, n_pixels))
     state.j = rng.standard_normal((n_h, n_pixels))
+    # explicit W^s (every column listed) and Y3^s
+    state.w_cols = [np.arange(n_pixels)] * n_views
+    state.y3 = [None] * n_views
     for s in range(n_views):
         state.d[s] = np.abs(rng.standard_normal((n_h, n_pixels)))
         state.e[s] = rng.standard_normal((n_bands, n_pixels))
@@ -158,6 +161,7 @@ class TestUpdateE:
 
     def test_zero_case(self):
         state = init_state(2, 3, 4, 2, mu0=1.0)
+        state.y3 = [np.zeros((3, 4)), np.zeros((3, 4))]
         xs = [np.zeros((3, 4)), np.zeros((3, 4))]
         h = np.zeros((3, 2))
         assert np.array_equal(update_e(state, xs, h, 0), np.zeros((3, 4)))
@@ -173,25 +177,46 @@ class TestUpdateE:
         assert np.abs(grad).max() <= 1e-10 * max(1.0, np.abs(e).max()) * mu
 
 
+def dense_w(state, s):
+    """W^s of a state as an L x N matrix."""
+    w = np.zeros(state.e[s].shape)
+    w[:, state.w_cols[s]] = state.w[s]
+    return w
+
+
 class TestUpdateW:
     def test_is_column_shrinkage_at_inverse_mu(self):
+        # the next W^s is the l2,1 shrinkage at 1/mu of W + Y1/mu, taken
+        # from and returned as its nonzero columns
         rng = np.random.default_rng(18)
-        xs, h, state = random_instance(rng, mu=2.0)
-        expected = l21_shrink(state.e[0] + state.y3[0] / 2.0, 0.5)
-        got = solver_mod._w_block(state, 0, slice(None))
-        assert np.allclose(got, expected, atol=0)
+        mu, cols = 2.0, np.array([1, 4, 5, 9])
+        w = rng.standard_normal((4, cols.size))
+        y1 = rng.standard_normal((4, 12))
+        y1[:, ::3] *= 0.1
+        dense = np.zeros((4, 12))
+        dense[:, cols] = w
+        expected = l21_shrink(dense + y1 / mu, 1.0 / mu)
+        idx, values = solver_mod._w_block(y1, (cols, w), mu)
+        assert np.array_equal(idx, np.flatnonzero(expected.any(axis=0)))
+        assert 0 < idx.size < 12
+        assert np.array_equal(values, expected[:, idx])
 
 
 def gap_step(state, xs, h):
     """solve()'s gap-and-ascent kernel over all columns: the max-abs gaps
-    (data fit, E-W, column sums, C-J), each driving the ascent on its
-    multiplier in place; mu is left alone."""
+    (data fit, E-W, column sums, C-J), the ascent on Y1, Y2 and Y4 in
+    place, and the next W^s from the state's W^s and Y1^s; mu is left
+    alone."""
     cols = slice(None)
     r = np.zeros(3)
+    ws = []
     for s, x in enumerate(xs):
         cd = state.c + state.d[s]
-        r = np.maximum(r, solver_mod._gap_block(state, s, cd, x - h @ cd,
-                                                cols))
+        w, gaps = solver_mod._gap_block(state, s, cd, x - h @ cd,
+                                        (state.w_cols[s], state.w[s]), cols)
+        ws.append(w)
+        r = np.maximum(r, gaps)
+    state.w_cols, state.w = map(list, zip(*ws))
     return (*map(float, r), solver_mod._cj_block(state, cols))
 
 
@@ -235,6 +260,7 @@ class TestMultipliers:
         state.c -= (state.c.sum(axis=0) - 1.0) / n_h  # column sums = 1
         state.j = state.c.copy()
         xs = []
+        state.w_cols = [np.arange(n)] * 2
         for s in range(2):
             state.e[s] = rng.standard_normal((n_bands, n))
             state.w[s] = state.e[s].copy()
@@ -276,22 +302,51 @@ class TestResiduals:
         assert np.isclose(r[3], np.abs(delta).max())
 
 
+def ascent_then_w(st, xs, h):
+    """The data-fit, column-sum and C-J gaps, each formed out of place, the
+    dual ascent on Y1, Y2 and Y4 as a separate pass, then the next W^s as
+    the dense l2,1 shrinkage of W^s + Y1^s/mu at 1/mu and the E-W gap to
+    it (mu unchanged)."""
+    fit = [x - h @ (st.c + d) - e for x, d, e in zip(xs, st.d, st.e)]
+    col = [(st.c + d).sum(axis=0) - 1.0 for d in st.d]
+    cj = st.c - st.j
+    mu = st.mu
+    st.y1 = [y + mu * g for y, g in zip(st.y1, fit)]
+    st.y2 = [y + mu * g for y, g in zip(st.y2, col)]
+    st.y4 = st.y4 + mu * cj
+    st.w = [l21_shrink(dense_w(st, s) + st.y1[s] / mu, 1.0 / mu)
+            for s in range(len(xs))]
+    ew = [e - w for e, w in zip(st.e, st.w)]
+    r = [max(float(np.abs(g).max()) for g in gaps) for gaps in (fit, ew, col)]
+    return (*r, float(np.abs(cj).max()))
+
+
 class TestFeasibilityStep:
     @pytest.mark.parametrize("n_views", [2, 3])
     def test_matches_separate_residuals_and_ascent_bitwise(self, n_views):
         rng = np.random.default_rng(28 + n_views)
         xs, h, state = random_instance(rng, n_views=n_views, n_bands=5,
                                        n_pixels=40, n_h=7)
+        # W^s nonzero on every third column, and the ascent on Y1^s
+        # cancelling on every second one: the next W^s is sparse too
+        state.w_cols = [np.arange(0, 40, 3)] * n_views
+        for s, x in enumerate(xs):
+            state.w[s] = state.w[s][:, ::3].copy()
+            fit = x - h @ (state.c + state.d[s]) - state.e[s]
+            state.y1[s][:, ::2] = -state.mu * fit[:, ::2]
         fused, ref = copy.deepcopy(state), copy.deepcopy(state)
         r_fused = gap_step(fused, xs, h)
-        r_ref = gaps_then_ascent(ref, xs, h)
+        r_ref = ascent_then_w(ref, xs, h)
         assert min(r_ref) > 0  # nonfeasible in every constraint
         assert r_fused == r_ref
         assert fused.mu == ref.mu
-        for name in ("y1", "y2", "y3"):
+        for name in ("y1", "y2"):
             for a, b in zip(getattr(fused, name), getattr(ref, name)):
                 assert np.array_equal(a, b)
         assert np.array_equal(fused.y4, ref.y4)
+        for s in range(n_views):
+            assert 0 < fused.w_cols[s].size < 40
+            assert np.array_equal(dense_w(fused, s), ref.w[s])
 
 
 def dense_reference_solve(xs, h, cfg):
@@ -299,7 +354,9 @@ def dense_reference_solve(xs, h, cfg):
     updates in its Gauss-Seidel order: C and each D^s by np.linalg.solve
     with G = H'H + 11', J by the SVT of the full n_h x N matrix, E^s in
     closed form, W^s by l2,1 shrinkage, then the gaps, the dual ascent and
-    the mu step. Shares only svt and l21_shrink with the solver."""
+    the mu step. Y3^s and W^s are explicit and dense, and w_support
+    records the nonzero W^s columns of each view per iteration. Shares only
+    svt and l21_shrink with the solver."""
     n_views, n_h, n_pixels = len(xs), h.shape[1], xs[0].shape[1]
     g = h.T @ h + np.ones((n_h, n_h))
     eye = np.eye(n_h)
@@ -309,7 +366,7 @@ def dense_reference_solve(xs, h, cfg):
         e=[np.zeros_like(x) for x in xs], w=[np.zeros_like(x) for x in xs],
         y1=[np.zeros_like(x) for x in xs], y2=[np.zeros(n_pixels) for _ in xs],
         y3=[np.zeros_like(x) for x in xs], y4=np.zeros((n_h, n_pixels)),
-        mu=cfg.mu0, history=[])
+        mu=cfg.mu0, history=[], w_support=[])
     for _ in range(cfg.max_iter):
         mu = st.mu
         b = st.j - st.y4 / mu
@@ -332,15 +389,21 @@ def dense_reference_solve(xs, h, cfg):
         r = gaps_then_ascent(st, xs, h)
         st.mu = min(cfg.rho * mu, cfg.mu_max)
         st.history.append(max(r))
+        st.w_support.append([set(np.flatnonzero(w.any(axis=0)))
+                             for w in st.w])
         if max(r) < cfg.epsilon:
             break
     return st
 
 
 def in_n_h_space(state):
-    """A copy of a solve() state with C, J and Y4 as n_h x N matrices: U
-    times their coordinates when the state has a basis."""
-    state = copy.deepcopy(state)
+    """A copy of a solve() state with each W^s as a dense L x N matrix and
+    C, J and Y4 as n_h x N matrices: U times their coordinates when the
+    state has a basis."""
+    n_views, n_pixels = len(state.e), state.e[0].shape[1]
+    state = dataclasses.replace(
+        copy.deepcopy(state), w=[dense_w(state, s) for s in range(n_views)],
+        w_cols=[np.arange(n_pixels)] * n_views)
     if state.basis is None:
         return state
     u = state.basis
@@ -387,9 +450,41 @@ class TestSolve:
         for name in ("c", "j", "y4"):
             assert_rel_close(getattr(got, name), getattr(ref, name), 1e-9)
         for s in range(n_views):
-            assert_rel_close(got.d[s], ref.d[s], 1e-9)
-            assert_rel_close(got.e[s], ref.e[s], 1e-9)
+            for name in ("d", "e", "w", "y1"):
+                assert_rel_close(getattr(got, name)[s],
+                                 getattr(ref, name)[s], 1e-9)
         assert_rel_close(result.residual_history, ref.history, 1e-9)
+
+    def test_sparse_w_matches_dense_reference(self, monkeypatch):
+        # a few outlier columns on a well-fit scene: W^s is nonzero on some
+        # blocks of 4 columns and zero on others, and a column of the first
+        # view turns nonzero and then zero again, so E^s reads W_{k-1}
+        monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
+        monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 2)
+        rng = np.random.default_rng(4)
+        h = rng.standard_normal((4, 9))
+        a = rng.dirichlet(np.ones(9), size=30).T
+        xs = [h @ a + 0.05 * rng.standard_normal((4, 30)) for _ in range(2)]
+        for x in xs:
+            x[:, rng.choice(30, 4, replace=False)] += \
+                3.0 * rng.standard_normal((4, 4))
+        result = solve(xs, h, ACTIVE_SVT)
+        ref = dense_reference_solve(xs, h, ACTIVE_SVT)
+        support = [it[0] for it in ref.w_support]
+        assert any(prev - cur for prev, cur in zip(support, support[1:]))
+        blocks_hit = {col // 4 for col in set().union(*support)}
+        assert 0 < len(blocks_hit) < 8
+        got = in_n_h_space(result.state)
+        for name in ("c", "j", "y4"):
+            assert_rel_close(getattr(got, name), getattr(ref, name), 1e-9)
+        for s in range(2):
+            assert set(result.state.w_cols[s]) == ref.w_support[-1][s]
+            for name in ("d", "e", "w", "y1"):
+                assert_rel_close(getattr(got, name)[s],
+                                 getattr(ref, name)[s], 1e-9)
+        assert_rel_close(result.residual_history, ref.history, 1e-9)
+        assert result.w_nonzero_columns == [
+            max(len(it[s]) for it in ref.w_support) for s in range(2)]
 
     @pytest.mark.parametrize("cfg,svt_runs", [
         (SolverConfig(), False), (ACTIVE_SVT, True),
@@ -405,7 +500,10 @@ class TestSolve:
                             lambda m, tau: calls.append(tau) or svt(m, tau))
         result = solve(xs, h, cfg)
         assert bool(calls) == svt_runs
-        if not svt_runs:
+        if svt_runs:
+            assert 0 < result.svt_iterations <= len(calls)
+        else:
+            assert result.svt_iterations == 0
             assert not result.state.j.any()
 
     @pytest.mark.parametrize("cfg", [SolverConfig(max_iter=12), ACTIVE_SVT],
@@ -428,7 +526,7 @@ class TestSolve:
             for name in ("c", "j", "y4"):
                 assert np.array_equal(getattr(res.state, name),
                                       getattr(first.state, name))
-            for name in ("d", "e", "w", "y1", "y2", "y3"):
+            for name in ("d", "e", "w", "w_cols", "y1", "y2"):
                 for a, b in zip(getattr(res.state, name),
                                 getattr(first.state, name)):
                     assert np.array_equal(a, b)
@@ -521,6 +619,29 @@ class TestSolve:
             tracemalloc.stop()
         assert peak < (n_views + 1) * n_h * n_pixels * 8
         assert result.state.basis.shape == (n_h, 17)
+
+    def test_peak_memory_holds_no_y3_and_no_dense_w(self, monkeypatch):
+        # W = 0 at the default schedule: the solve holds c, j and y4, the
+        # D^s, E^s, Y1^s and Y2^s, and block temporaries (one block thread,
+        # 16 blocks of 512 columns) well below one L x N array; a dense
+        # Y3^s or W^s per view would add two L x N arrays
+        monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 1)
+        rng = np.random.default_rng(36)
+        n_views, n_bands, n_h, n_pixels = 2, 64, 20, 8192
+        xs = [rng.standard_normal((n_bands, n_pixels))
+              for _ in range(n_views)]
+        h = rng.standard_normal((n_bands, n_h))
+        tracemalloc.start()
+        try:
+            result = solve(xs, h, SolverConfig(max_iter=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        st = result.state
+        assert st.y3 == [] and not any(w.size for w in st.w)
+        held = sum(a.nbytes for a in (st.c, st.j, st.y4, *st.d, *st.e,
+                                      *st.y1, *st.y2))
+        assert peak < held + n_bands * n_pixels * 8
 
     def test_converged_flag_sound(self):
         # an aggressive penalty schedule that actually reaches feasibility
