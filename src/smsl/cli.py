@@ -6,9 +6,10 @@ sha256 of every input and output file (a cube or score header together with
 its payload). `smsl rerun MANIFEST` checks the input checksums (exit 1 on a
 mismatch), replays the recorded command into a temporary directory and
 compares the sha256 of each output with the recorded one: exit 1 naming the
-first file that differs. The original outputs are left as they are. A
-manifest without output checksums is replayed over its outputs, with a
-warning.
+first file that differs, and the max relative deviation of the replayed
+score map when that file belongs to one. The original outputs are left as
+they are. A manifest without output checksums is replayed over its
+outputs, with a warning.
 
 Exit codes: 0 success, 1 runtime/data failure, 2 usage/config error.
 """
@@ -22,6 +23,8 @@ import os
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 from . import baselines, cube, solver
 from .detector import DetectorConfig, detect_with_result
@@ -274,6 +277,23 @@ def _redirect_outputs(args, replay_dir: str) -> None:
         args.out_dir = _replay_dir(args.out_dir, replay_dir)
 
 
+def _map_deviation(path: str, outputs: list, replay_dir: str) -> str:
+    """When path is a score map among outputs, or its payload, the max
+    relative deviation max |replay - recorded| / max |recorded| of the
+    replay's map, phrased for the mismatch message; otherwise ''."""
+    try:
+        out = next(o for o in outputs if path in cube.input_files(o))
+        recorded = cube.load_scores(out).scores
+        replayed = cube.load_scores(_replay_path(out, replay_dir)).scores
+    except (StopIteration, cube.FormatError, OSError):
+        return ""
+    if replayed.shape != recorded.shape:
+        return ""
+    scale = max(np.abs(recorded).max(), np.finfo(float).tiny)
+    dev = np.abs(replayed - recorded).max() / scale
+    return f" (max relative deviation of the map: {dev:.3g})"
+
+
 def cmd_rerun(args, _argv) -> int:
     with open(args.manifest, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
@@ -300,7 +320,8 @@ def cmd_rerun(args, _argv) -> int:
             if replayed.get(_replay_path(path, tmp)) != expected[path]:
                 raise cube.FormatError(
                     f"{path}: the replay's sha256 differs from the one "
-                    f"recorded in {args.manifest}")
+                    f"recorded in {args.manifest}"
+                    + _map_deviation(path, manifest["outputs"], tmp))
     return 0
 
 

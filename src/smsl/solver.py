@@ -14,11 +14,16 @@ L x n_h dictionary H, whose rank r is at most L+1. One thin SVD of [H', 1]
 gives G = U diag(g) U' with U of shape n_h x r. C, J and Y4 start at zero
 and never leave range(U), so when r < n_h solve() holds them as their
 r x N coordinates c = U'C, j = U'J and y4 = U'Y4 (SolverState.basis is U).
-In coordinates the C system is diagonal, c = b / (1 + S g), the SVT for J
-acts on the r x N matrix c + y4/mu, and a block's n_h-row C = U c is formed
-only inside the column-blocked kernel. The D system goes through U by the
-Woodbury identity. With n_h <= L+1, r = n_h: the coordinates are the n_h x N
-entries themselves, and G and the inverses are dense n_h x n_h matrices.
+In coordinates the C system is diagonal, c = b / (1 + S g), and the SVT for
+J acts on the r x N matrix c + y4/mu. As H = (HU) U' and 1 lies in range(U),
+the C and E^s steps and the gaps see D^s only through U'D^s, and only the
+D^s penalty p = -lambda3 sum_{t != s} |D^t| leaves range(U); H'x has the
+coordinates P x, P = U'H'. So q_s, G C, C + D^s and the range terms z of
+the D^s system never have n_h rows: D^s = max(U(w z + (w - 1/a) U'p) + p/a,
+0) by Woodbury, with U'p from the U'D^t, and the fit is X^s - (HU)(c +
+U'D^s). A block takes 3S + 1 products with an n_h-row operand: per view
+U'D^s before and after its step and U z, and U c for max |C|. With
+n_h <= L+1, r = n_h (see _Gram).
 The SVT is skipped whenever ||C + Y4/mu||_F <= lambda1/mu, which under the
 default schedule holds at every iteration of the synthetic benchmark scenes.
 
@@ -37,24 +42,23 @@ sorted column indices plus the L x m values of those columns.
 Every step but J acts on each pixel column alone (ADMM split across
 examples), so an iteration is one kernel over blocks of at most
 _BLOCK_COLUMNS pixel columns. Pass A takes a block through C and each D^s,
-then per view E^s, the ascent on Y1^s and Y2^s, and W^s. It forms q_s =
-H'(X^s - E^s + Y1^s/mu) once per view for both the C and the D^s
-right-hand sides, and the data-fit gap reuses H(C + D^s) from the E step.
-J feeds none of these steps, so the calling thread decides it after pass
-A, from the block sums of ||C + Y4/mu||_F^2; pass B then takes the C-J gap
-(while J is zero, pass A's max |C|) and the ascent on Y4.
+then per view E^s, the ascent on Y1^s and Y2^s, and W^s; the coordinates
+of q_s = H'(X^s - E^s + Y1^s/mu) feed both the C and the D^s steps, and
+the fit both E^s and the data-fit gap. J feeds none of these steps, so the
+calling thread decides it after pass A, from the block sums of
+||C + Y4/mu||_F^2; pass B then takes the C-J gap (while J is zero, pass
+A's max |C|) and the ascent on Y4.
 The residuals double as the finiteness check. The column-sum gap r3 sees
-every entry of C and of each D^s (D >= 0), the E-W gap r2 sees E^s and
-W^s, the C-J gap r4 sees J, and each multiplier moves by mu times its gap.
-So the state is scanned block by block (SolverError naming the first
-non-finite block) only when ||C + Y4/mu||_F^2 or r1-r3 is not finite after
-pass A, or r4 is not after pass B. The first check runs before J, so a
-non-finite C is reported as such and never reaches the SVT.
-The blocks run on min(blocks, CPUs // BLAS threads) threads, where the BLAS
-threads are the first of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS that is set (unset: all CPUs, so one thread). Block results
-are combined in block order, so the bits do not depend on the number of
-threads.
+every entry of C (or of its coordinates) and of each D^s (D >= 0), the
+E-W gap r2 sees E^s and W^s, the C-J gap r4 sees J, and each multiplier
+moves by mu times its gap. So the state is scanned block by block
+(SolverError naming the first non-finite block) only when
+||C + Y4/mu||_F^2 or r1-r3 is not finite after pass A, or r4 is not after
+pass B. The first check runs before J, so a non-finite C is reported as
+such and never reaches the SVT.
+The blocks run on min(blocks, CPUs // BLAS threads) threads (see
+_block_workers), and their results are combined in block order, so the
+bits do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -175,10 +179,10 @@ class _Gram:
     below prox._SV_CUTOFF of the largest are dropped.
 
     With r < n_h, basis is U and a matrix in range(U) has the r-row
-    coordinates U'X, on which G acts as diag(g). With r = n_h, basis is
-    None: the coordinates are the n_h-row entries, and G and each inverse
-    are dense n_h x n_h matrices, which is cheaper than two products with
-    U."""
+    coordinates U'X, on which G acts as diag(g); H'x has P x, P = U'H', and
+    1 has ones = U'1. With r = n_h, basis is None: coordinates are entries,
+    P is H', ones is a 1 that broadcasts over the rows, and G and each
+    inverse are dense n_h x n_h matrices, cheaper than two products with U."""
 
     def __init__(self, h: np.ndarray):
         n_h = h.shape[1]
@@ -189,7 +193,8 @@ class _Gram:
         full = self.u.shape[1] == n_h
         self.basis = None if full else self.u
         self.dense = (self.u * self.g) @ self.u.T if full else None
-        self.ones = self.coords(np.ones(n_h))
+        self.p = self.coords(h.T)
+        self.ones = np.ones(1) if full else self.coords(np.ones(n_h))
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """U'x, the coordinates of an x in range(U)."""
@@ -201,31 +206,43 @@ class _Gram:
 
     def coords_inverse(self, a: float, b: float):
         """The map c -> (a I + b G)^-1 c on coordinates."""
-        if self.basis is None:
-            return self.inverse(a, b)
-        w = (1.0 / (a + b * self.g))[:, None]
-        return lambda c: c * w
-
-    def inverse(self, a: float, b: float):
-        """The map x -> (a I + b G)^-1 x, by Woodbury when r < n_h, which
-        may overwrite x. Outside range(U) the system is a I, so a = 0 with
-        r < n_h is singular: LinAlgError."""
-        u = self.u
         w = 1.0 / (a + b * self.g)
         if self.basis is None:
-            inv = (u * w) @ u.T
-            return lambda x: inv @ x
+            return partial(np.matmul, (self.u * w) @ self.u.T)
+        return partial(np.multiply, w[:, None])
+
+    def colsum(self, c: np.ndarray) -> np.ndarray:
+        """The column sums 1'X, from the coordinates of X."""
+        return c.sum(axis=0) if self.basis is None else self.ones @ c
+
+    def inverse(self, a: float, b: float):
+        """The map (z, ps, pcs, k) -> (a I + b G)^-1 (U z + k sum(ps)), pcs
+        the coordinates of the n_h-row ps; z and ps are overwritten. With
+        r < n_h it is U(w z + k (w - 1/a) sum(pcs)) + (k/a) sum(ps) by
+        Woodbury, w = 1/(a + b g), and a = 0 is singular: LinAlgError."""
+        if self.basis is None:
+            inv = self.coords_inverse(a, b)
+
+            def apply_dense(z, ps, pcs, k):
+                for p in ps:
+                    z += np.multiply(p, k, out=p)
+                ps = p = None  # freed before the n_h x k product
+                return inv(z)
+
+            return apply_dense
+        u, w = self.u, 1.0 / (a + b * self.g)
         if a == 0:
             raise np.linalg.LinAlgError(
                 f"singular system: G has rank {u.shape[1]} < {u.shape[0]} "
-                "and no ridge (lambda2 = 0 needs sketch size <= bands + 1)"
-            )
-        uw = u * (w - 1.0 / a)
+                "and no ridge (lambda2 = 0 needs sketch size <= bands + 1)")
+        wz, wp = w[:, None], (w - 1.0 / a)[:, None]
 
-        def apply(x):
-            t = u.T @ x
-            x /= a
-            x += uw @ t
+        def apply(z, ps, pcs, k):
+            z *= wz
+            z += (k * wp) * sum(pcs)
+            x = u @ z
+            for p in ps:
+                x += np.multiply(p, k / a, out=p)
             return x
 
         return apply
@@ -234,12 +251,10 @@ class _Gram:
 # pixel columns per block of an iteration: a block's n_h x 512 float64
 # temporaries (2 MB at n_h = 500) stay in cache from one step to the next
 _BLOCK_COLUMNS = 512
-# In a solve of a small scene, glibc hands larger block temporaries back to
-# the system (a fresh mapping above its mmap threshold, a trimmed heap top)
-# and faults them in again block after block. At L = 16, n_h = 50 and
-# N = 1000 with one block thread, blocks of N/5 columns took a median 3.4 ms
-# an iteration against 4.3 ms for 512 + 488 (12 runs each); with glibc's mmap
-# and trim thresholds raised to 1 GB, the two blocks took 2.7 ms against 3.5.
+# A small scene is split into _MIN_BLOCKS blocks even so: at L = 16, n_h = 50,
+# N = 1000 and one block thread, 512 + 488 columns took 1.35 ms an iteration
+# against 2.70 ms for 5 x 200 (medians of 6; the state fits a 2 MB L2 cache),
+# but criterion 7's fitted exponent then read 1.31-1.48 (0.99-1.22 with it).
 _MIN_BLOCKS = 5
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _ALL = slice(None)
@@ -262,12 +277,12 @@ def _block_workers(n_blocks: int) -> int:
     return max(1, min(n_blocks, cpus // (threads if threads > 0 else cpus)))
 
 
-def _q_block(h, state, x, s, cols) -> np.ndarray:
-    """H'(x_s - E^s + Y1^s/mu): the data term of both the C and the D^s
-    right-hand sides, which E^s and Y1^s leave unchanged in between."""
+def _q_block(gram, state, x, s, cols) -> np.ndarray:
+    """The coordinates P t of q_s = H'(x_s - E^s + Y1^s/mu), the data term
+    of both the C and the D^s right-hand sides (E^s, Y1^s unchanged)."""
     t = x[:, cols] - state.e[s][:, cols]
     t += state.y1[s][:, cols] / state.mu
-    return h.T @ t
+    return gram.p @ t
 
 
 def _expand(basis, c: np.ndarray) -> np.ndarray:
@@ -275,42 +290,31 @@ def _expand(basis, c: np.ndarray) -> np.ndarray:
     return c if basis is None else basis @ c
 
 
-def _c_step(gram, inv_c, state, qs, b, cols) -> np.ndarray:
+def _c_step(gram, inv_c, state, qs, ds, b, cols) -> np.ndarray:
     """Coordinates of C from A C = B, A = I + S G and B = J - Y4/mu +
-    sum_s (q_s - G D^s + 1(1 - Y2^s/mu)'), given b, the coordinates of
-    J - Y4/mu (overwritten). With r < n_h, A is diag(1 + S g)."""
-    mu = state.mu
-    # with r < n_h, one product with U takes the sum of the q_s
-    if gram.basis is None:
-        for q in qs:
-            b += q
-    else:
-        b += gram.coords(sum(qs[1:], qs[0]))
-    dsum = state.d[0][:, cols].copy()
-    row = 1.0 - state.y2[0][cols] / mu
-    for s in range(1, len(qs)):
-        dsum += state.d[s][:, cols]
-        row += 1.0 - state.y2[s][cols] / mu
-    b -= gram.scale(gram.coords(dsum))
+    sum_s (q_s - G D^s + 1(1 - Y2^s/mu)'), from coordinates qs, ds and b of
+    the q_s, the D^s and J - Y4/mu (b overwritten); with r < n_h, A is
+    diag(1 + S g)."""
+    for q in qs:
+        b += q
+    row = sum(1.0 - y2[cols] / state.mu for y2 in state.y2)
+    b -= gram.scale(sum(ds[1:], ds[0]))
     b += gram.ones[:, None] * row
     return inv_c(b)
 
 
-def _d_block(inv_d, state, q, gc, s, cols, lambda3, out=None) -> np.ndarray:
+def _d_block(gram, inv_d, state, q, gc, ds, s, cols, lambda3, out=None):
     """D^s from (lambda2 I + mu G) D = mu (q_s - G C) + 1(mu - Y2^s)'
-    - lambda3 sum_{t != s} |D^t|, clipped to be nonnegative (into out).
-    The right-hand side is formed in q."""
+    - lambda3 sum_{t != s} |D^t|, clipped to be nonnegative (into out),
+    from coordinates q (overwritten), gc and ds of q_s, G C and each |D^t|."""
     mu = state.mu
-    rhs = np.subtract(q, gc, out=q)
-    rhs *= mu
-    rhs += mu - state.y2[s][cols]
-    for t, d in enumerate(state.d):
-        if t != s:
-            penalty = np.abs(d[:, cols])
-            penalty *= lambda3
-            rhs -= penalty
-            del penalty  # freed before the solve's n_h x k product
-    return np.maximum(inv_d(rhs), 0.0, out=out)
+    z = np.subtract(q, gc, out=q)
+    z *= mu
+    z += gram.ones[:, None] * (mu - state.y2[s][cols])
+    others = state.d[:s] + state.d[s + 1:]
+    x = inv_d(z, [np.abs(d[:, cols]) for d in others], ds[:s] + ds[s + 1:],
+              -lambda3)
+    return np.maximum(x, 0.0, out=out)
 
 
 def _in_block(w, cols) -> tuple:
@@ -332,17 +336,14 @@ def _e_term(w, w_old, ratio) -> tuple:
     return idx, t
 
 
-def _e_block(h, state, c, x, s, cols, term, out=None) -> tuple:
-    """(E^s, C + D^s, X^s - H(C + D^s)) for the n_h-row block c of C.
-    E^s = (fit + T)/2 (into out) is the stationary point of the two
-    quadratic penalties tied to E^s, where term = (idx, T) gives
-    T = W^s + (Y1^s - Y3^s)/mu on the block's columns idx, zero elsewhere."""
-    cd = c + state.d[s][:, cols]
-    fit = x[:, cols] - h @ cd
+def _e_block(fit, term, out=None) -> np.ndarray:
+    """E^s = (fit + T)/2 (into out), the stationary point of the two
+    quadratic penalties tied to E^s, with fit = X^s - H(C + D^s) and term
+    = (idx, T): T = W^s + (Y1^s - Y3^s)/mu on columns idx, zero elsewhere."""
     e = np.multiply(fit, 0.5, out=out)
     idx, t = term
     e[:, idx] += 0.5 * t
-    return e, cd, fit
+    return e
 
 
 def _w_block(y1, w, mu) -> tuple:
@@ -367,17 +368,17 @@ def _use(gap, y, mu) -> float:
     return r
 
 
-def _gap_block(state, s, cd, fit, w, cols) -> tuple:
+def _gap_block(state, s, colsum, fit, w, cols) -> tuple:
     """The data-fit and column-sum gaps of view s, each driving the ascent
     on its multiplier, then the next W^s from w (W^s as block-local
-    (indices, values)) and the E-W gap. Consumes fit = X^s - H(C + D^s).
-    Returns (the next W^s, (r1, r2, r3))."""
+    (indices, values)) and the E-W gap, from fit = X^s - H(C + D^s)
+    (consumed) and colsum = 1'(C + D^s). Returns (W^s, (r1, r2, r3))."""
     mu = state.mu
     e = state.e[s][:, cols]
     y1 = state.y1[s][:, cols]
     fit -= e
     r1 = _use(fit, y1, mu)
-    r3 = _use(cd.sum(axis=0) - 1.0, state.y2[s][cols], mu)
+    r3 = _use(colsum - 1.0, state.y2[s][cols], mu)
     w_new = _w_block(y1, w, mu)
     gap = fit  # E - W_new, in the spent data-fit buffer
     gap[...] = e
@@ -395,8 +396,7 @@ def _cj_block(state, cols, j_zero=False):
     return r
 
 
-def _pass_a(h, xs, gram, inv_c, inv_d, state, w_old, ratio, lambda3,
-            cols) -> tuple:
+def _pass_a(xs, gram, inv_c, inv_d, state, w_old, ratio, lambda3, cols):
     """C and each D^s, then per view E^s, the ascent on Y1^s and Y2^s and
     the next W^s, on one block of columns. No D^t step reads what the
     later steps of a view write, so this is the Gauss-Seidel order. w_old
@@ -404,30 +404,33 @@ def _pass_a(h, xs, gram, inv_c, inv_d, state, w_old, ratio, lambda3,
     Returns (||C + Y4/mu||_F^2, r1, r2, r3, max |C|, the next W^s of each
     view as block-local (indices, values))."""
     mu = state.mu
-    qs = [_q_block(h, state, x, s, cols) for s, x in enumerate(xs)]
+    qs = [_q_block(gram, state, x, s, cols) for s, x in enumerate(xs)]
+    ds = [gram.coords(d[:, cols]) for d in state.d]
     b = state.y4[:, cols] / -mu
     b += state.j[:, cols]
-    coords = state.c[:, cols] = _c_step(gram, inv_c, state, qs, b, cols)
-    gc = _expand(state.basis, gram.scale(coords))
-    for s in range(len(xs)):
-        _d_block(inv_d, state, qs[s], gc, s, cols, lambda3,
-                 out=state.d[s][:, cols])
-    del qs, gc  # freed before the E^s steps take their n_h x k blocks
-    c = _expand(state.basis, coords)
+    coords = state.c[:, cols] = _c_step(gram, inv_c, state, qs, ds, b, cols)
+    gc = gram.scale(coords)
+    for s, q in enumerate(qs):
+        # D >= 0, so ds holds the coordinates of each |D^t| as last updated
+        ds[s] = gram.coords(_d_block(gram, inv_d, state, q, gc, ds, s, cols,
+                                     lambda3, out=state.d[s][:, cols]))
+    del qs, gc
     r = np.zeros(3)
     w_new = []
     for s, x in enumerate(xs):
         w = _in_block((state.w_cols[s], state.w[s]), cols)
         term = _e_term(w, _in_block(w_old[s], cols), ratio)
-        _, cd, fit = _e_block(h, state, c, x, s, cols, term,
-                              out=state.e[s][:, cols])
-        w_s, gaps = _gap_block(state, s, cd, fit, w, cols)
+        cd = coords + ds[s]  # H(C + D^s) = (HU)(c + U'D^s), HU = P'
+        fit = x[:, cols] - gram.p.T @ cd
+        _e_block(fit, term, out=state.e[s][:, cols])
+        w_s, gaps = _gap_block(state, s, gram.colsum(cd), fit, w, cols)
         w_new.append(w_s)
         # np.maximum keeps a NaN gap; the builtin max(0.0, nan) drops it
         r = np.maximum(r, gaps)
     m = state.y4[:, cols] / mu
     m += coords
-    return (float(np.vdot(m, m)), *r, _max_abs(c), w_new)
+    c_max = _max_abs(_expand(state.basis, coords))
+    return (float(np.vdot(m, m)), *r, c_max, w_new)
 
 
 def _join_blocks(blocks, parts) -> tuple:
@@ -444,14 +447,14 @@ def update_c(state: SolverState, views, h) -> np.ndarray:
     """Least-squares block for C: solve A C = B, A = S H'H + S 11' + I,
     for a state held in n_h space. B lies in range(U) but for the part of
     J - Y4/mu outside it, on which A is I."""
-    h = np.asarray(h, dtype=np.float64)
     xs = _as_matrices(views)
-    gram = _Gram(h)
-    qs = [_q_block(h, state, x, s, _ALL) for s, x in enumerate(xs)]
+    gram = _Gram(np.asarray(h, dtype=np.float64))
+    qs = [_q_block(gram, state, x, s, _ALL) for s, x in enumerate(xs)]
     jy = state.j - state.y4 / state.mu
     b = gram.coords(jy)
     rest = jy - _expand(gram.basis, b)
-    c = _c_step(gram, gram.coords_inverse(1.0, len(xs)), state, qs, b, _ALL)
+    c = _c_step(gram, gram.coords_inverse(1.0, len(xs)), state, qs,
+                [gram.coords(d) for d in state.d], b, _ALL)
     return _expand(gram.basis, c) + rest
 
 
@@ -459,12 +462,11 @@ def update_d(state: SolverState, views, h, s: int,
              cfg: SolverConfig) -> np.ndarray:
     """Ridge solve for view s's specific block, clipped to be nonnegative,
     for a state held in n_h space."""
-    h = np.asarray(h, dtype=np.float64)
-    xs = _as_matrices(views)
-    gram = _Gram(h)
-    gc = _expand(gram.basis, gram.scale(gram.coords(state.c)))
-    return _d_block(gram.inverse(cfg.lambda2, state.mu), state,
-                    _q_block(h, state, xs[s], s, _ALL), gc, s, _ALL,
+    gram = _Gram(np.asarray(h, dtype=np.float64))
+    q = _q_block(gram, state, _as_matrices(views)[s], s, _ALL)
+    ds = [gram.coords(np.abs(d)) for d in state.d]
+    return _d_block(gram, gram.inverse(cfg.lambda2, state.mu), state, q,
+                    gram.scale(gram.coords(state.c)), ds, s, _ALL,
                     cfg.lambda3)
 
 
@@ -474,8 +476,9 @@ def update_e(state: SolverState, views, h, s: int) -> np.ndarray:
     term = state.y1[s] - state.y3[s]
     term /= state.mu
     term[:, state.w_cols[s]] += state.w[s]
-    return _e_block(np.asarray(h, dtype=np.float64), state, state.c,
-                    _as_matrices(views)[s], s, _ALL, (_ALL, term))[0]
+    cd = state.c + state.d[s]
+    fit = _as_matrices(views)[s] - np.asarray(h, dtype=np.float64) @ cd
+    return _e_block(fit, (_ALL, term))
 
 
 def _check_finite(state: SolverState, iteration: int) -> None:
@@ -485,9 +488,8 @@ def _check_finite(state: SolverState, iteration: int) -> None:
     for name, arrs in blocks.items():
         for arr in arrs:
             if not np.isfinite(arr).all():
-                raise SolverError(
-                    f"non-finite values in {name} at iteration {iteration}"
-                )
+                raise SolverError(f"non-finite values in {name} at "
+                                  f"iteration {iteration}")
 
 
 def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
@@ -498,9 +500,8 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     n_bands, n_pixels = xs[0].shape
     n_h = h.shape[1]
     if h.shape[0] != n_bands:
-        raise ValueError(
-            f"dictionary has {h.shape[0]} bands, views have {n_bands}"
-        )
+        raise ValueError(f"dictionary has {h.shape[0]} bands, views have "
+                         f"{n_bands}")
 
     gram = _Gram(h)
     state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0, gram.basis)
@@ -519,7 +520,7 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
         for it in range(1, cfg.max_iter + 1):
             mu = state.mu
             inv_d = gram.inverse(cfg.lambda2, mu)
-            parts = list(run(partial(_pass_a, h, xs, gram, inv_c, inv_d,
+            parts = list(run(partial(_pass_a, xs, gram, inv_c, inv_d,
                                      state, w_old, mu_old / mu,
                                      cfg.lambda3), blocks))
             w_old, mu_old = list(zip(state.w_cols, state.w)), mu
@@ -527,8 +528,7 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
                                                  [p[5] for p in parts])
             w_nonzero = [max(n, len(i))
                          for n, i in zip(w_nonzero, state.w_cols)]
-            # the block sums are combined in block order, whatever the
-            # workers
+            # block sums are combined in block order, whatever the workers
             m2 = sum(p[0] for p in parts)
             r = np.max([p[1:4] for p in parts], axis=0)
             if not (np.isfinite(m2) and np.isfinite(r).all()):

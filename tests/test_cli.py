@@ -5,6 +5,8 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -211,6 +213,32 @@ class TestDetect:
         assert f"{payload}: the replay's sha256 differs" in err
         assert payload.read_bytes() == bytes(changed)
 
+    def test_rerun_reports_the_map_deviation(self, scene, tmp_path, capsys):
+        # a recorded map one score away from what the replay writes: the
+        # message gives max |replay - recorded| / max |recorded|
+        out = str(tmp_path / "scores.hdr")
+        assert main(detect_args(scene, out)) == 0
+        replayed = load_scores(out)
+        changed = replayed.scores.copy()
+        changed[7] *= 1.001
+        cube.save_scores(cube.DetectionMap(replayed.height, replayed.width,
+                                           changed), out)
+        recorded = load_scores(out).scores
+        payload = tmp_path / "scores.raw"
+        manifest_path = Path(out + ".manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["output_sha256"][str(payload)] = \
+            hashlib.sha256(payload.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        expected = (np.abs(replayed.scores - recorded).max()
+                    / np.abs(recorded).max())
+        assert 1e-5 < expected < 1e-3
+        capsys.readouterr()
+        assert main(["rerun", str(manifest_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{payload}: the replay's sha256 differs" in err
+        assert f"max relative deviation of the map: {expected:.3g}" in err
+
     def test_rerun_of_manifest_without_output_checksums(self, scene,
                                                         tmp_path, capsys):
         out = str(tmp_path / "scores.hdr")
@@ -408,3 +436,18 @@ def test_readme_library_imports_exist():
     assert not set(names) - set(smsl.__all__)
     for name in smsl.__all__:
         getattr(smsl, name)
+
+
+def test_import_needs_no_scipy():
+    # the package depends on numpy alone (pyproject.toml, README): no module
+    # of it may import scipy, even where scipy is installed
+    src = str(Path(smsl.__file__).parents[1])
+    code = ("import pkgutil, importlib, sys, smsl\n"
+            "for m in pkgutil.iter_modules(smsl.__path__):\n"
+            "    importlib.import_module('smsl.' + m.name)\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == "
+            "'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -212,7 +212,8 @@ def gap_step(state, xs, h):
     ws = []
     for s, x in enumerate(xs):
         cd = state.c + state.d[s]
-        w, gaps = solver_mod._gap_block(state, s, cd, x - h @ cd,
+        w, gaps = solver_mod._gap_block(state, s, cd.sum(axis=0),
+                                        x - h @ cd,
                                         (state.w_cols[s], state.w[s]), cols)
         ws.append(w)
         r = np.maximum(r, gaps)
@@ -620,6 +621,27 @@ class TestSolve:
         assert peak < (n_views + 1) * n_h * n_pixels * 8
         assert result.state.basis.shape == (n_h, 17)
 
+    def test_block_temporaries_have_few_n_h_rows(self, monkeypatch):
+        # r = 17 < n_h = 500: the C step, the D^s right-hand sides and the
+        # fits are formed as r-row coordinates, so a block of 512 columns
+        # takes fewer than four n_h x 512 temporaries at a time
+        monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 1)
+        rng = np.random.default_rng(37)
+        n_views, n_h, n_pixels = 2, 500, 4096
+        xs = [rng.standard_normal((16, n_pixels)) for _ in range(n_views)]
+        h = rng.standard_normal((16, n_h))
+        tracemalloc.start()
+        try:
+            result = solve(xs, h, SolverConfig(max_iter=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        st = result.state
+        assert st.basis.shape == (n_h, 17)
+        held = sum(a.nbytes for a in (st.c, st.j, st.y4, *st.d, *st.e,
+                                      *st.w, *st.y1, *st.y2))
+        assert peak - held < 4 * n_h * 512 * 8
+
     def test_peak_memory_holds_no_y3_and_no_dense_w(self, monkeypatch):
         # W = 0 at the default schedule: the solve holds c, j and y4, the
         # D^s, E^s, Y1^s and Y2^s, and block temporaries (one block thread,
@@ -681,8 +703,8 @@ class TestSolve:
         # in the SVT of C + Y4/mu
         c_step = solver_mod._c_step
 
-        def nan_from_iteration_2(gram, inv_c, state, qs, b, cols):
-            c = c_step(gram, inv_c, state, qs, b, cols)
+        def nan_from_iteration_2(gram, inv_c, state, *args):
+            c = c_step(gram, inv_c, state, *args)
             if state.mu > ACTIVE_SVT.mu0:
                 c[0, 0] = np.nan
             return c
