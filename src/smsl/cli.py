@@ -1,15 +1,18 @@
 """Command-line entry point.
 
-Subcommands: detect, baseline, eval, synth, sweep, rerun. Every run writes a
-JSON manifest next to its outputs with the resolved parameters, seeds and the
-sha256 of every input and output file (a cube or score header together with
-its payload). `smsl rerun MANIFEST` checks the input checksums (exit 1 on a
-mismatch), replays the recorded command into a temporary directory and
-compares the sha256 of each output with the recorded one: exit 1 naming the
-first file that differs, and the max relative deviation of the replayed
-score map when that file belongs to one. The original outputs are left as
-they are. A manifest without output checksums is replayed over its
-outputs, with a warning.
+Subcommands: detect, baseline, eval, synth, sweep, rerun. Every command that
+writes a file also writes a JSON manifest next to it: the parameters (every
+argument that names no file), the sha256 of every input and output file (a
+cube or score header together with its payload), `wall_time_s` (the
+command's load, compute and save time, without the manifest's own hashing)
+and an `env` block (the smsl, numpy and Python versions, the BLAS thread
+variables and the CPUs the process may run on). `smsl rerun MANIFEST`
+checks the input checksums (exit 1 on a mismatch), replays the recorded
+command into a temporary directory and compares the sha256 of each output
+with the recorded one: exit 1 naming the first file that differs, and the
+max relative deviation of the replayed score map when that file belongs to
+one. The original outputs are left as they are. A manifest without output
+checksums is replayed over its outputs, with a warning.
 
 Exit codes: 0 success, 1 runtime/data failure, 2 usage/config error.
 """
@@ -20,18 +23,19 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
 
 import numpy as np
 
-from . import baselines, cube, solver
+from . import __version__, baselines, cube, solver
 from .detector import DetectorConfig, detect_with_result
 from .evaluate import DETECTOR_PARAMS, SWEEP_PARAMS, SynthSpec, \
     apply_params, configure, grid_points, roc, synth_scene, sweep, \
     write_roc_csv, write_sweep_csv
-from .sketch import AVERAGE_MODES
+from .sketch import AVERAGE_MODES, _available_cpus
 
 # synth flag -> SynthSpec field
 _SYNTH_FLAGS = {
@@ -51,10 +55,6 @@ _INT_PARAMS = {name for name, (group, fld) in SWEEP_PARAMS.items()
                if isinstance(_default(group, fld), int)}
 
 
-class UsageError(ValueError):
-    """Invalid arguments or configuration (exit code 2)."""
-
-
 def _dest(flag: str) -> str:
     """The argparse attribute a --long-flag is stored under."""
     return flag[2:].replace("-", "_")
@@ -69,21 +69,15 @@ def _add_detector_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _detector_config(args) -> DetectorConfig:
-    try:
-        return configure(DetectorConfig(), {
-            (group, fld): getattr(args, _dest(flag))
-            for _, flag, group, fld in DETECTOR_PARAMS
-        })
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return configure(DetectorConfig(), {
+        (group, fld): getattr(args, _dest(flag))
+        for _, flag, group, fld in DETECTOR_PARAMS
+    })
 
 
 def _synth_spec(args) -> SynthSpec:
-    try:
-        return SynthSpec(**{fld: getattr(args, _dest(flag))
-                            for flag, fld in _SYNTH_FLAGS.items()})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return SynthSpec(**{fld: getattr(args, _dest(flag))
+                        for flag, fld in _SYNTH_FLAGS.items()})
 
 
 def _load_views(paths) -> cube.ViewSet:
@@ -110,101 +104,96 @@ def _checksums(paths: list, verified: dict) -> dict:
     return sums
 
 
-def _write_manifest(path: str, command: str, argv: list, args,
-                    exclude: tuple, inputs: list, outputs: list,
-                    wall_time: float, convergence=None) -> None:
-    """Manifest of one command; `exclude` names the arguments that are
-    recorded as inputs or outputs rather than as parameters."""
+# arguments that name a file a command reads or writes; every other
+# argument but synth's out_dir, a directory, is a parameter
+_INPUT_FILES = ("cubes", "scores", "mask")
+_OUTPUT_FILES = ("out", "trace", "roc_out")
+
+
+def _files(args, names: tuple) -> list:
+    """The paths that the arguments `names` of args give, in order."""
+    values = [getattr(args, name, None) for name in names]
+    return [p for v in values if v for p in ([v] if isinstance(v, str) else v)]
+
+
+def _write_manifest(args, argv: list, record: dict, verified: dict) -> None:
+    """Manifest of a finished command, with `record`, the entries only the
+    command knows (its `outputs` add to the output files). It goes to
+    out_dir/manifest.json, or beside the first output file; a command that
+    wrote no file gets none. Inputs with a digest in `verified` are not
+    hashed again."""
+    outputs = _files(args, _OUTPUT_FILES) + record.pop("outputs", [])
+    if not outputs:
+        return
+    path = (os.path.join(args.out_dir, "manifest.json")
+            if hasattr(args, "out_dir") else outputs[0] + ".manifest.json")
+    inputs = _files(args, _INPUT_FILES)
+    skip = {*_INPUT_FILES, *_OUTPUT_FILES, "out_dir", "func"}
     manifest = {
-        "command": command,
+        "command": args.command,
         "argv": list(argv),
-        "params": _params_dict(args, exclude),
-        "inputs": list(inputs),
-        "input_sha256": _checksums(inputs, args.verified_sha256),
-        "outputs": list(outputs),
+        "params": {k: v for k, v in vars(args).items() if k not in skip},
+        "inputs": inputs,
+        "input_sha256": _checksums(inputs, verified),
+        "outputs": outputs,
         "output_sha256": _checksums(outputs, {}),
-        "wall_time_s": wall_time,
+        "env": {
+            "smsl": __version__, "numpy": np.__version__,
+            "python": platform.python_version(), "cpus": _available_cpus(),
+            "thread_vars": {v: os.environ.get(v)
+                            for v in solver._THREAD_VARS},
+        },
+        **record,
     }
-    if convergence is not None:
-        manifest["convergence"] = convergence
     with open(path, "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _manifest_path(out: str) -> str:
-    return out + ".manifest.json"
-
-
-def cmd_detect(args, argv) -> int:
+def cmd_detect(args) -> dict:
     cfg = _detector_config(args)
-    views = _load_views(args.cubes)
-    start = time.monotonic()
-    scores, result = detect_with_result(views, cfg)
-    elapsed = time.monotonic() - start
+    scores, result = detect_with_result(_load_views(args.cubes), cfg)
     cube.save_scores(scores, args.out)
-    outputs = [args.out]
     if args.trace:
         solver.write_trace_csv(result.trace, args.trace)
-        outputs.append(args.trace)
-    convergence = {
-        "converged": result.converged,
-        "iterations_run": result.iterations_run,
-        "final_max_residual": result.residual_history[-1],
-        "svt_iterations": result.svt_iterations,
-        "w_nonzero_columns": result.w_nonzero_columns,
-    }
-    _write_manifest(_manifest_path(args.out), "detect", argv, args,
-                    ("cubes", "out", "trace"), args.cubes, outputs, elapsed,
-                    convergence)
-    return 0
+    convergence = {k: getattr(result, k) for k in (
+        "converged", "iterations_run", "svt_iterations", "w_nonzero_columns")}
+    convergence["final_max_residual"] = result.residual_history[-1]
+    return {"convergence": convergence}
 
 
-def cmd_baseline(args, argv) -> int:
+def cmd_baseline(args) -> dict:
     if args.ridge is not None and args.ridge < 0:
-        raise UsageError("--ridge must be nonnegative")
+        raise ValueError("--ridge must be nonnegative")
     views = _load_views(args.cubes)
-    start = time.monotonic()
     scores = baselines.run_baseline(args.method, views, args.ridge)
-    elapsed = time.monotonic() - start
     cube.save_scores(scores, args.out)
-    _write_manifest(_manifest_path(args.out), "baseline", argv, args,
-                    ("cubes", "out"), args.cubes, [args.out], elapsed)
-    return 0
+    return {}
 
 
-def cmd_eval(args, argv) -> int:
+def cmd_eval(args) -> dict:
     scores = cube.load_scores(args.scores)
     mask = cube.load_mask(args.mask)
     try:
         curve = roc(scores, mask)
     except ValueError as exc:
         raise cube.FormatError(str(exc)) from exc
-    outputs = []
     if args.roc_out:
         write_roc_csv(curve, args.roc_out)
-        outputs.append(args.roc_out)
-        _write_manifest(_manifest_path(args.roc_out), "eval", argv, args,
-                        (), [args.scores, args.mask], outputs, 0.0)
     print(f"auc={curve.auc:.6f}")
-    return 0
+    return {}
 
 
-def cmd_synth(args, argv) -> int:
-    spec = _synth_spec(args)
-    views, mask = synth_scene(spec)
+def cmd_synth(args) -> dict:
+    views, mask = synth_scene(_synth_spec(args))
     os.makedirs(args.out_dir, exist_ok=True)
-    outputs = []
-    for i, v in enumerate(views.views, start=1):
-        path = os.path.join(args.out_dir, f"view_{i}.hdr")
+    paths = [os.path.join(args.out_dir, f"view_{i}.hdr")
+             for i in range(1, len(views.views) + 1)]
+    for v, path in zip(views.views, paths):
         cube.save_cube(v, path)
-        outputs.append(path)
-    mask_path = os.path.join(args.out_dir, "mask.pgm")
-    cube.save_mask(mask, mask_path)
-    outputs.append(mask_path)
-    _write_manifest(os.path.join(args.out_dir, "manifest.json"), "synth",
-                    argv, args, ("out_dir",), [], outputs, 0.0)
-    return 0
+    paths.append(os.path.join(args.out_dir, "mask.pgm"))
+    cube.save_mask(mask, paths[-1])
+    return {"outputs": paths}
 
 
 def parse_grid(text: str) -> dict:
@@ -215,41 +204,27 @@ def parse_grid(text: str) -> dict:
         if not part:
             continue
         if "=" not in part:
-            raise UsageError(f"malformed grid entry {part!r}")
+            raise ValueError(f"malformed grid entry {part!r}")
         name, values = part.split("=", 1)
         name = name.strip()
         caster = int if name in _INT_PARAMS else float
         try:
             grid[name] = [caster(v) for v in values.split(",") if v.strip()]
         except ValueError:
-            raise UsageError(f"malformed grid values for {name!r}") from None
+            raise ValueError(f"malformed grid values for {name!r}") from None
     return grid
 
 
-def cmd_sweep(args, argv) -> int:
+def cmd_sweep(args) -> dict:
     grid = parse_grid(args.grid)
     base_cfg = _detector_config(args)
     # every point is checked before the first one is solved
-    try:
-        for params in grid_points(grid):
-            apply_params(base_cfg, params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    views = _load_views(args.cubes)
-    mask = cube.load_mask(args.mask)
-    start = time.monotonic()
-    rows = sweep(views, mask, base_cfg, grid)
-    elapsed = time.monotonic() - start
+    for params in grid_points(grid):
+        apply_params(base_cfg, params)
+    rows = sweep(_load_views(args.cubes), cube.load_mask(args.mask),
+                 base_cfg, grid)
     write_sweep_csv(rows, args.out)
-    _write_manifest(_manifest_path(args.out), "sweep", argv, args,
-                    ("cubes", "out"), list(args.cubes) + [args.mask],
-                    [args.out], elapsed)
-    return 0
-
-
-# arguments that name a file a command writes; synth's out_dir names a
-# directory
-_OUTPUT_FILES = ("out", "trace", "roc_out")
+    return {}
 
 
 def _replay_dir(directory: str, replay_dir: str) -> str:
@@ -294,7 +269,7 @@ def _map_deviation(path: str, outputs: list, replay_dir: str) -> str:
     return f" (max relative deviation of the map: {dev:.3g})"
 
 
-def cmd_rerun(args, _argv) -> int:
+def cmd_rerun(args) -> int:
     with open(args.manifest, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
     recorded = manifest.get("input_sha256", {})
@@ -323,11 +298,6 @@ def cmd_rerun(args, _argv) -> int:
                     f"recorded in {args.manifest}"
                     + _map_deviation(path, manifest["outputs"], tmp))
     return 0
-
-
-def _params_dict(args, exclude=()) -> dict:
-    skip = set(exclude) | {"func", "verified_sha256"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,23 +358,27 @@ def main(argv=None) -> int:
 
 
 def _run(argv: list, verified_sha256: dict, replay_dir=None) -> int:
-    """Parse and run one command. `verified_sha256` maps input paths to
-    digests the caller has just checked; the manifest reuses them. With a
-    replay_dir, the command writes its outputs and manifest under it
-    instead (see _replay_path)."""
+    """Parse, run and time one command, write its manifest and return the
+    exit code. A command returns its own manifest entries, or rerun the
+    replay's exit code. `verified_sha256` maps input paths to digests the
+    caller has just checked; the manifest reuses them. With a replay_dir,
+    the command writes its outputs and manifest under it instead (see
+    _replay_path)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    args.verified_sha256 = verified_sha256
     if replay_dir is not None:
         _redirect_outputs(args, replay_dir)
     try:
-        return args.func(args, argv)
-    except UsageError as exc:
-        print(f"smsl: {exc}", file=sys.stderr)
-        return 2
+        start = time.monotonic()
+        record = args.func(args)
+        if isinstance(record, int):
+            return record
+        record["wall_time_s"] = time.monotonic() - start
+        _write_manifest(args, argv, record, verified_sha256)
+        return 0
     except (cube.FormatError, solver.SolverError, OSError) as exc:
         print(f"smsl: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import smsl
-from smsl import cli, cube, evaluate
+from smsl import cli, cube, evaluate, solver
 from smsl.cli import main, parse_grid
 from smsl.cube import load_scores, save_cube, save_mask
 from smsl.detector import DetectorConfig
@@ -409,6 +409,56 @@ class TestSweep:
         lines = open(out).read().splitlines()
         assert lines[0] == "lambda2,lambda3,auc"
         assert len(lines) == 5
+
+
+# each writing command: its argv, given the scene, a score map and an
+# output stem, and the manifest that run writes
+WRITING_RUNS = {
+    "detect": lambda sc, s, o: (detect_args(sc, o + ".hdr"),
+                                o + ".hdr.manifest.json"),
+    "baseline": lambda sc, s, o: (
+        ["baseline", *sc["cubes"], "--method", "rx", "--out", o + ".hdr"],
+        o + ".hdr.manifest.json"),
+    "eval": lambda sc, s, o: (
+        ["eval", "--scores", s, "--mask", sc["mask"], "--roc-out",
+         o + ".csv"], o + ".csv.manifest.json"),
+    "synth": lambda sc, s, o: (
+        ["synth", "--out-dir", o, "--height", "6", "--width", "5",
+         "--bands", "4", "--anomalies", "2"],
+        os.path.join(o, "manifest.json")),
+    "sweep": lambda sc, s, o: (
+        ["sweep", *sc["cubes"], "--mask", sc["mask"], "--grid", "lambda2=1,10",
+         "--out", o + ".csv", "--sketch-size", "12", "--sketch-repeats", "1",
+         "--max-iter", "3"], o + ".csv.manifest.json"),
+}
+
+
+@pytest.mark.parametrize("command", WRITING_RUNS)
+def test_manifest_records_the_run(scene, tmp_path, monkeypatch, capsys,
+                                  command):
+    # every writing command is timed, records its environment and lists no
+    # file argument among its parameters
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    scores = str(tmp_path / "scores.hdr")
+    cube.save_scores(cube.DetectionMap(10, 10, np.linspace(0, 1, 100)),
+                     scores)
+    argv, manifest_path = WRITING_RUNS[command](scene, scores,
+                                                str(tmp_path / "o"))
+    assert main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads(Path(manifest_path).read_text())
+    assert manifest["command"] == command
+    assert manifest["wall_time_s"] > 0
+    assert not set(manifest["params"]) & {
+        "cubes", "scores", "mask", "out", "trace", "roc_out", "out_dir"}
+    env = manifest["env"]
+    assert env == {
+        "smsl": smsl.__version__, "numpy": np.__version__,
+        "python": sys.version.split()[0],
+        "thread_vars": {v: os.environ.get(v) for v in solver._THREAD_VARS},
+        "cpus": env["cpus"]}
+    assert env["thread_vars"]["MKL_NUM_THREADS"] == "1"
+    assert 1 <= env["cpus"] <= (os.cpu_count() or 1)
 
 
 def test_readme_cli_commands_parse():
