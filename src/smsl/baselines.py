@@ -45,9 +45,11 @@ def fit_cov(x: np.ndarray, ridge=None) -> CovModel:
 
 
 def _pair(views: ViewSet):
+    """The two views as float64 L x N matrices: loaded views are float32,
+    and the detectors' differences, means and covariances are float64."""
     if views.n_views != 2:
         raise ValueError("baseline detectors require exactly 2 views")
-    x1, x2 = views.matrices()
+    x1, x2 = (np.asarray(x, dtype=np.float64) for x in views.matrices())
     return x1, x2
 
 

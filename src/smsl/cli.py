@@ -5,8 +5,9 @@ writes a file also writes a JSON manifest next to it: the parameters (every
 argument that names no file), the sha256 of every input and output file (a
 cube or score header together with its payload), `wall_time_s` (the
 command's load, compute and save time, without the manifest's own hashing)
-and an `env` block (the smsl, numpy and Python versions, the BLAS thread
-variables and the CPUs the process may run on). `smsl rerun MANIFEST`
+and an `env` block (the smsl, numpy and Python versions, the BLAS build
+numpy links, the BLAS thread variables and the CPUs the process may run
+on). `smsl rerun MANIFEST`
 checks the input checksums (exit 1 on a mismatch), replays the recorded
 command into a temporary directory and compares the sha256 of each output
 with the recorded one: exit 1 naming the first file that differs, and the
@@ -116,6 +117,12 @@ def _files(args, names: tuple) -> list:
     return [p for v in values if v for p in ([v] if isinstance(v, str) else v)]
 
 
+def _blas_build() -> dict:
+    """Name and version of the BLAS numpy was built against."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas["name"], "version": blas["version"]}
+
+
 def _write_manifest(args, argv: list, record: dict, verified: dict) -> None:
     """Manifest of a finished command, with `record`, the entries only the
     command knows (its `outputs` add to the output files). It goes to
@@ -142,6 +149,7 @@ def _write_manifest(args, argv: list, record: dict, verified: dict) -> None:
             "python": platform.python_version(), "cpus": _available_cpus(),
             "thread_vars": {v: os.environ.get(v)
                             for v in solver._THREAD_VARS},
+            "blas": _blas_build(),
         },
         **record,
     }

@@ -3,13 +3,15 @@
 Cubes and score maps are stored as a small text header next to a raw
 little-endian float32 payload in band-sequential (BSQ) layout with row-major
 pixel order. Masks are binary PGM (P5, maxval 255, only 0/255 allowed).
-All arrays are widened to float64 in memory.
+A loaded cube keeps its payload as float32, as stored; a cube built from
+data of any other dtype, and every score map, is float64 in memory. A
+ViewSet holds its views once, as column slices of one buffer.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +32,9 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class HyperCube:
-    """One acquisition: ``bands x height x width`` float64 array, BSQ order."""
+    """One acquisition: ``bands x height x width`` array, BSQ order. float32
+    data stays float32 (a loaded cube's payload, as stored); data of any
+    other dtype is widened to float64."""
 
     bands: int
     height: int
@@ -40,7 +44,9 @@ class HyperCube:
     def __post_init__(self):
         if self.bands < 1 or self.height < 1 or self.width < 1:
             raise ValueError("cube dimensions must be positive")
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        if data.dtype != np.float32:
+            data = data.astype(np.float64, copy=False)
         if data.size != self.bands * self.height * self.width:
             raise ValueError(
                 f"data length {data.size} != bands*height*width "
@@ -58,9 +64,16 @@ class HyperCube:
 
 @dataclass(frozen=True)
 class ViewSet:
-    """Ordered co-registered acquisitions of one scene (the multi-view input)."""
+    """Ordered co-registered acquisitions of one scene (the multi-view input).
+
+    The views are copied once into ``stacked``, one L x (S*N) array of their
+    common dtype with view s in columns s*N to (s+1)*N, and ``views`` holds
+    cubes whose data are those column slices: the set holds the scene once,
+    and the input cubes are not referenced.
+    """
 
     views: tuple
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         views = tuple(self.views)
@@ -70,7 +83,15 @@ class ViewSet:
         for v in views[1:]:
             if (v.bands, v.height, v.width) != (ref.bands, ref.height, ref.width):
                 raise ValueError("all views must share bands/height/width")
-        object.__setattr__(self, "views", views)
+        n = ref.n_pixels
+        stacked = np.empty((ref.bands, len(views) * n),
+                           dtype=np.result_type(*(v.data for v in views)))
+        for s, v in enumerate(views):
+            stacked[:, s * n:(s + 1) * n] = flatten(v)
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "views", tuple(
+            replace(v, data=stacked[:, s * n:(s + 1) * n])
+            for s, v in enumerate(views)))
 
     @property
     def n_views(self) -> int:
@@ -138,7 +159,7 @@ def flatten(cube: HyperCube) -> np.ndarray:
 
 def unflatten(matrix: np.ndarray, height: int, width: int) -> HyperCube:
     """Inverse of :func:`flatten`."""
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.asarray(matrix)
     return HyperCube(matrix.shape[0], height, width, matrix.reshape(-1))
 
 
@@ -216,7 +237,7 @@ def _read_payload(header_path: str, fields: dict) -> np.ndarray:
             raise FormatError(
                 f"{payload_path}: payload is {size} bytes, expected {4 * n}"
             )
-        data = np.fromfile(fh, dtype="<f4", count=n).astype(np.float64)
+        data = np.fromfile(fh, dtype="<f4", count=n)
     _check_finite(data, f"payload {payload_path}")
     return data
 
@@ -246,7 +267,8 @@ def input_files(path: str) -> list:
 
 
 def load_cube(header_path: str) -> HyperCube:
-    """Read a cube (header + raw f32 BSQ payload) from disk."""
+    """Read a cube (header + raw f32 BSQ payload) from disk; its data stay
+    float32."""
     fields = _read_header(header_path, CUBE_MAGIC)
     data = _read_payload(header_path, fields)
     return HyperCube(fields["bands"], fields["height"], fields["width"], data)

@@ -2,8 +2,10 @@
 
 The dictionary is the float64 L x n_h array ``H = [X^1, ..., X^S] R``,
 where R has i.i.d. N(0, 1/n_h) entries; the solver and the scoring take it
-as is. Sampling uses numpy's PCG64 generator (ziggurat standard normals),
-so equal seeds reproduce equal matrices on any platform.
+as is. ``[X^1, ..., X^S]`` is the ViewSet's stacked buffer, float32 for
+loaded cubes, so the scene is not copied to build H. Sampling uses numpy's
+PCG64 generator (ziggurat standard normals), so equal seeds reproduce equal
+matrices on any platform.
 
 The builders never hold a whole R: each repeat's R_j is streamed in row
 blocks of 2 MB, the repeats of a block are drawn in parallel (one thread
@@ -83,7 +85,8 @@ def _draw_workers(repeats: int) -> int:
 def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
     """``X R_j`` for every repeat j (one row each), or with ``average`` the
     single ``X mean_j R_j``, where X stacks the views side by side and
-    ``R_j = jlt_matrix(S*N, n_h, repeat_seed(seed, j))``.
+    ``R_j = jlt_matrix(S*N, n_h, repeat_seed(seed, j))``. X is the view
+    set's own stacked buffer, not a copy of it.
 
     Each R_j is drawn in row blocks of _BLOCK_ENTRIES entries, the repeats
     of a block in parallel; a block consumes its repeat's generator exactly
@@ -92,8 +95,11 @@ def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
     fill a panel of at most _PANEL_ENTRIES entries, which takes one product
     with X: a product per block, issued between the draws, left the idle
     threads of a multi-threaded BLAS competing with the draws for the cores.
+    A float32 X is widened to float64 one panel's column slab at a time,
+    inside the product; the widening is exact, so the dictionary has the
+    bits of a float64 X with the same values.
     """
-    stacked = np.hstack(views.matrices())
+    stacked = views.stacked
     n = stacked.shape[1]
     n_h, repeats = cfg.n_h, cfg.repeats
     if n_h > n:

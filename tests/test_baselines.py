@@ -3,7 +3,7 @@ import pytest
 
 from smsl.baselines import (chronochrome, covariance_equalization, fit_cov,
                             run_baseline, rx_difference)
-from smsl.cube import HyperCube, ViewSet
+from smsl.cube import HyperCube, ViewSet, load_cube, save_cube
 
 
 def as_views(x1, x2, height, width):
@@ -136,3 +136,21 @@ class TestCommon:
         assert model.ridge > 0
         vals = np.linalg.eigvalsh(model.regularized)
         assert vals.min() > 0
+
+
+@pytest.mark.parametrize("method", ["rx", "cc", "ce"])
+def test_loaded_views_score_as_float64_cubes(tmp_path, method):
+    # loaded views are float32; the detectors widen them and so give the
+    # bits of float64 cubes with the same values
+    rng = np.random.default_rng(9)
+    paths = []
+    for s in range(2):
+        paths.append(str(tmp_path / f"view_{s}.hdr"))
+        save_cube(HyperCube(6, 12, 10, rng.random(720) + s), paths[-1])
+    loaded = ViewSet(tuple(load_cube(p) for p in paths))
+    wide = ViewSet(tuple(HyperCube(v.bands, v.height, v.width,
+                                   v.data.astype(np.float64))
+                         for v in loaded.views))
+    assert loaded.stacked.dtype == np.float32
+    assert np.array_equal(run_baseline(method, loaded).scores,
+                          run_baseline(method, wide).scores)

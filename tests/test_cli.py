@@ -452,10 +452,12 @@ def test_manifest_records_the_run(scene, tmp_path, monkeypatch, capsys,
     assert not set(manifest["params"]) & {
         "cubes", "scores", "mask", "out", "trace", "roc_out", "out_dir"}
     env = manifest["env"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert env == {
         "smsl": smsl.__version__, "numpy": np.__version__,
         "python": sys.version.split()[0],
         "thread_vars": {v: os.environ.get(v) for v in solver._THREAD_VARS},
+        "blas": {k: blas[k] for k in ("name", "version")},
         "cpus": env["cpus"]}
     assert env["thread_vars"]["MKL_NUM_THREADS"] == "1"
     assert 1 <= env["cpus"] <= (os.cpu_count() or 1)

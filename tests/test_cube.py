@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,3 +155,57 @@ def test_scores_round_trip(tmp_path):
 def test_detection_map_rejects_negative():
     with pytest.raises(ValueError):
         DetectionMap(1, 2, np.array([1.0, -0.5]))
+
+
+def test_hypercube_keeps_float32_and_widens_other_dtypes():
+    f32 = np.arange(8, dtype=np.float32)
+    assert HyperCube(2, 2, 2, f32).data.dtype == np.float32
+    for data in (np.arange(8), np.arange(8, dtype=np.uint8),
+                 np.arange(8, dtype=np.float16), list(range(8))):
+        c = HyperCube(2, 2, 2, data)
+        assert c.data.dtype == np.float64
+        assert np.array_equal(c.data.reshape(-1), np.arange(8))
+
+
+def test_load_cube_keeps_the_payload_as_float32(tmp_path):
+    data = np.random.default_rng(5).standard_normal(24).astype(np.float32)
+    save_cube(HyperCube(2, 3, 4, data), str(tmp_path / "c.hdr"))
+    back = load_cube(str(tmp_path / "c.hdr"))
+    assert back.data.dtype == np.float32
+    assert np.array_equal(back.data.reshape(-1), data)
+
+
+def test_viewset_holds_the_scene_once(tmp_path):
+    # loaded views are copied once into one float32 L x (S*N) buffer, and
+    # nothing else of the scene stays allocated
+    bands, height, width, n_views = 32, 64, 64, 2
+    rng = np.random.default_rng(8)
+    paths = []
+    for s in range(n_views):
+        paths.append(str(tmp_path / f"view_{s}.hdr"))
+        save_cube(HyperCube(bands, height, width,
+                            rng.random(bands * height * width)), paths[-1])
+    scene_bytes = bands * n_views * height * width * 4
+    tracemalloc.start()
+    try:
+        views = ViewSet(tuple(load_cube(p) for p in paths))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= scene_bytes + scene_bytes // 8
+    assert views.stacked.dtype == np.float32
+    assert views.stacked.shape == (bands, n_views * height * width)
+    for s, (m, v) in enumerate(zip(views.matrices(), views.views)):
+        assert np.shares_memory(m, views.stacked)
+        assert np.array_equal(m, load_cube(paths[s]).data.reshape(bands, -1))
+        assert v.data.dtype == np.float32
+
+
+def test_viewset_stacks_in_the_views_common_dtype():
+    a = HyperCube(2, 2, 2, np.arange(8, dtype=np.float32))
+    b = HyperCube(2, 2, 2, np.arange(8, 16, dtype=np.float64))
+    vs = ViewSet((a, b))
+    assert vs.stacked.dtype == np.float64
+    assert np.array_equal(vs.stacked, np.arange(16).reshape(2, 2, 4)
+                          .transpose(1, 0, 2).reshape(2, 8))
+    assert [v.data.dtype for v in vs.views] == [np.float64] * 2

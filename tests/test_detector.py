@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smsl.cube import HyperCube, ViewSet
+from smsl import solver as solver_mod
+from smsl.cube import HyperCube, ViewSet, load_cube, save_cube
 from smsl.detector import (DetectorConfig, detect, detect_with_result,
                            score_multiview)
 from smsl.evaluate import SynthSpec, synth_scene
@@ -194,3 +195,34 @@ class TestDetect:
         m, result = detect_with_result(views, small_cfg(n_h=10))
         assert result.iterations_run >= 1
         assert len(result.residual_history) == result.iterations_run
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_views,average_mode,n_h", [
+    (2, "dictionary", 40),  # n_h > L + 1: the solver's r-row coordinates
+    (3, "scores", 10),      # n_h < L + 1: r = n_h, dense Gram
+])
+def test_storage_precision_does_not_change_the_map(
+        tmp_path, monkeypatch, workers, n_views, average_mode, n_h):
+    # float32 views loaded from cube files give the bits of float64 cubes
+    # with the same values: every product widens them exactly
+    monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 64)
+    monkeypatch.setattr(solver_mod, "_block_workers", lambda n: workers)
+    scene, _ = synth_scene(SynthSpec(height=16, width=20, bands=12,
+                                     views=n_views, n_anomalies=6, seed=4))
+    paths = [str(tmp_path / f"view_{s}.hdr") for s in range(n_views)]
+    for v, p in zip(scene.views, paths):
+        save_cube(v, p)
+    loaded = ViewSet(tuple(load_cube(p) for p in paths))
+    wide = ViewSet(tuple(HyperCube(v.bands, v.height, v.width,
+                                   v.data.astype(np.float64))
+                         for v in loaded.views))
+    cfg = DetectorConfig(
+        sketch=SketchConfig(n_h=n_h, seed=2, repeats=3,
+                            average_mode=average_mode),
+        solver=SolverConfig(max_iter=8))
+    got, got_result = detect_with_result(loaded, cfg)
+    want, want_result = detect_with_result(wide, cfg)
+    assert loaded.stacked.dtype == np.float32
+    assert np.array_equal(got.scores, want.scores)
+    assert got_result.trace == want_result.trace
