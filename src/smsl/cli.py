@@ -12,8 +12,9 @@ checks the input checksums (exit 1 on a mismatch), replays the recorded
 command into a temporary directory and compares the sha256 of each output
 with the recorded one: exit 1 naming the first file that differs, and the
 max relative deviation of the replayed score map when that file belongs to
-one. The original outputs are left as they are. A manifest without output
-checksums is replayed over its outputs, with a warning.
+one. The original outputs are left as they are. A manifest that is not a
+JSON object recording `argv`, `outputs`, `input_sha256` and `output_sha256`
+is not replayed: exit 1 naming it.
 
 Exit codes: 0 success, 1 runtime/data failure, 2 usage/config error.
 """
@@ -171,8 +172,6 @@ def cmd_detect(args) -> dict:
 
 
 def cmd_baseline(args) -> dict:
-    if args.ridge is not None and args.ridge < 0:
-        raise ValueError("--ridge must be nonnegative")
     views = _load_views(args.cubes)
     scores = baselines.run_baseline(args.method, views, args.ridge)
     cube.save_scores(scores, args.out)
@@ -277,22 +276,41 @@ def _map_deviation(path: str, outputs: list, replay_dir: str) -> str:
     return f" (max relative deviation of the map: {dev:.3g})"
 
 
+# what rerun needs of a manifest: key -> (container of strings, what it is)
+_REPLAYED = {"argv": (list, "command line"), "outputs": (list, "output files"),
+             "input_sha256": (dict, "input checksums"),
+             "output_sha256": (dict, "output checksums")}
+
+
+def _read_manifest(path: str) -> dict:
+    """The manifest at path: a JSON object whose _REPLAYED keys hold strings
+    in their containers, or else a FormatError that names it."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # invalid JSON, or bytes that are not ASCII
+        raise cube.FormatError(f"{path}: not a JSON manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise cube.FormatError(f"{path}: not a JSON object")
+    for key, (kind, what) in _REPLAYED.items():
+        value = manifest.get(key)
+        items = value.values() if isinstance(value, dict) else value
+        if not isinstance(value, kind) \
+                or not all(isinstance(v, str) for v in items):
+            raise cube.FormatError(f"{path}: records no {what} ({key})")
+    return manifest
+
+
 def cmd_rerun(args) -> int:
-    with open(args.manifest, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
-    recorded = manifest.get("input_sha256", {})
+    manifest = _read_manifest(args.manifest)
+    recorded = manifest["input_sha256"]
     for path, digest in recorded.items():
         if _sha256(path) != digest:
             raise cube.FormatError(
                 f"{path}: sha256 differs from the one recorded in "
                 f"{args.manifest}; the replay would not reproduce the run"
             )
-    expected = manifest.get("output_sha256")
-    if expected is None:
-        print(f"smsl: warning: {args.manifest} records no output checksums; "
-              "replaying over its outputs without comparing them",
-              file=sys.stderr)
-        return _run(manifest["argv"], recorded)
+    expected = manifest["output_sha256"]
     with tempfile.TemporaryDirectory(prefix="smsl-rerun-") as tmp:
         code = _run(manifest["argv"], recorded, tmp)
         if code != 0:
@@ -360,9 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    return _run(list(argv), {})
+    return _run(list(sys.argv[1:] if argv is None else argv), {})
 
 
 def _run(argv: list, verified_sha256: dict, replay_dir=None) -> int:

@@ -10,8 +10,9 @@ ViewSet holds its views once, as column slices of one buffer.
 
 from __future__ import annotations
 
+import copy
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,12 +87,15 @@ class ViewSet:
         n = ref.n_pixels
         stacked = np.empty((ref.bands, len(views) * n),
                            dtype=np.result_type(*(v.data for v in views)))
+        # copies of the views take their slices without running
+        # HyperCube.__post_init__ again: the values passed it already
+        views = tuple(map(copy.copy, views))
         for s, v in enumerate(views):
             stacked[:, s * n:(s + 1) * n] = flatten(v)
+            object.__setattr__(v, "data", stacked[:, s * n:(s + 1) * n]
+                               .reshape(v.data.shape))
         object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "views", tuple(
-            replace(v, data=stacked[:, s * n:(s + 1) * n])
-            for s, v in enumerate(views)))
+        object.__setattr__(self, "views", views)
 
     @property
     def n_views(self) -> int:
@@ -167,21 +171,18 @@ def unflatten(matrix: np.ndarray, height: int, width: int) -> HyperCube:
 # header + raw payload I/O
 
 
-def _write_header(path: str, magic: str, bands: int, height: int, width: int,
-                  payload_name: str) -> None:
-    lines = [
-        f"magic={magic}",
-        f"version={FORMAT_VERSION}",
-        f"bands={bands}",
-        f"height={height}",
-        f"width={width}",
-        "dtype=f32",
-        "layout=bsq",
-        "byte_order=little",
-        f"payload={payload_name}",
-    ]
-    with open(path, "w", encoding="ascii") as fh:
+def _save(header_path: str, magic: str, bands: int, height: int, width: int,
+          data: np.ndarray) -> None:
+    """Write a header and the raw f32 payload it names, <stem>.raw."""
+    base = os.path.basename(header_path)
+    name = (base.rsplit(".", 1)[0] if "." in base else base) + ".raw"
+    lines = [f"magic={magic}", f"version={FORMAT_VERSION}", f"bands={bands}",
+             f"height={height}", f"width={width}", "dtype=f32", "layout=bsq",
+             "byte_order=little", f"payload={name}"]
+    with open(header_path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+    with open(os.path.join(os.path.dirname(header_path), name), "wb") as fh:
+        fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
 def _read_header(path: str, expected_magic: str) -> dict:
@@ -224,7 +225,9 @@ def _payload_path(header_path: str, fields: dict) -> str:
     return os.path.join(os.path.dirname(header_path), fields["payload"])
 
 
-def _read_payload(header_path: str, fields: dict) -> np.ndarray:
+def _read_payload(header_path: str, fields: dict, container, *dims):
+    """``container(*dims, data)`` of the payload a header names; a ValueError
+    of the container (a non-finite value, say) is a FormatError naming it."""
     payload_path = _payload_path(header_path, fields)
     n = fields["bands"] * fields["height"] * fields["width"]
     try:
@@ -238,20 +241,10 @@ def _read_payload(header_path: str, fields: dict) -> np.ndarray:
                 f"{payload_path}: payload is {size} bytes, expected {4 * n}"
             )
         data = np.fromfile(fh, dtype="<f4", count=n)
-    _check_finite(data, f"payload {payload_path}")
-    return data
-
-
-def _write_payload(header_path: str, payload_name: str, data: np.ndarray) -> None:
-    payload_path = os.path.join(os.path.dirname(header_path), payload_name)
-    with open(payload_path, "wb") as fh:
-        fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
-
-
-def _payload_name(header_path: str) -> str:
-    base = os.path.basename(header_path)
-    stem = base.rsplit(".", 1)[0] if "." in base else base
-    return stem + ".raw"
+    try:
+        return container(*dims, data)
+    except ValueError as exc:
+        raise FormatError(f"payload {payload_path}: {exc}") from exc
 
 
 def input_files(path: str) -> list:
@@ -270,15 +263,14 @@ def load_cube(header_path: str) -> HyperCube:
     """Read a cube (header + raw f32 BSQ payload) from disk; its data stay
     float32."""
     fields = _read_header(header_path, CUBE_MAGIC)
-    data = _read_payload(header_path, fields)
-    return HyperCube(fields["bands"], fields["height"], fields["width"], data)
+    return _read_payload(header_path, fields, HyperCube, fields["bands"],
+                         fields["height"], fields["width"])
 
 
 def save_cube(cube: HyperCube, header_path: str) -> None:
     """Write a cube so that :func:`load_cube` inverts it at f32 precision."""
-    name = _payload_name(header_path)
-    _write_header(header_path, CUBE_MAGIC, cube.bands, cube.height, cube.width, name)
-    _write_payload(header_path, name, cube.data.reshape(-1))
+    _save(header_path, CUBE_MAGIC, cube.bands, cube.height, cube.width,
+          cube.data)
 
 
 def load_scores(header_path: str) -> DetectionMap:
@@ -286,14 +278,13 @@ def load_scores(header_path: str) -> DetectionMap:
     fields = _read_header(header_path, SCORES_MAGIC)
     if fields["bands"] != 1:
         raise FormatError(f"{header_path}: score maps must have bands=1")
-    data = _read_payload(header_path, fields)
-    return DetectionMap(fields["height"], fields["width"], data)
+    return _read_payload(header_path, fields, DetectionMap, fields["height"],
+                         fields["width"])
 
 
 def save_scores(scores: DetectionMap, header_path: str) -> None:
-    name = _payload_name(header_path)
-    _write_header(header_path, SCORES_MAGIC, 1, scores.height, scores.width, name)
-    _write_payload(header_path, name, scores.scores.reshape(-1))
+    _save(header_path, SCORES_MAGIC, 1, scores.height, scores.width,
+          scores.scores)
 
 
 def load_mask(path: str) -> GroundTruthMask:

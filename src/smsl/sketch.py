@@ -58,16 +58,6 @@ def repeat_seed(seed: int, j: int) -> int:
     return (seed ^ ((j * _REPEAT_SALT) & _MASK64)) & _MASK64
 
 
-def jlt_matrix(n: int, n_h: int, seed: int) -> np.ndarray:
-    """n x n_h matrix with i.i.d. N(0, 1/n_h) entries, deterministic per seed."""
-    if n < 1 or n_h < 1:
-        raise ValueError("jlt_matrix requires n >= 1 and n_h >= 1")
-    rng = np.random.default_rng(seed)
-    r = rng.standard_normal((n, n_h))
-    r /= np.sqrt(n_h)
-    return r
-
-
 def _available_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -85,8 +75,9 @@ def _draw_workers(repeats: int) -> int:
 def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
     """``X R_j`` for every repeat j (one row each), or with ``average`` the
     single ``X mean_j R_j``, where X stacks the views side by side and
-    ``R_j = jlt_matrix(S*N, n_h, repeat_seed(seed, j))``. X is the view
-    set's own stacked buffer, not a copy of it.
+    R_j is the (S*N) x n_h matrix ``standard_normal((S*N, n_h)) / sqrt(n_h)``
+    drawn from ``default_rng(repeat_seed(seed, j))``. X is the view set's
+    own stacked buffer, not a copy of it.
 
     Each R_j is drawn in row blocks of _BLOCK_ENTRIES entries, the repeats
     of a block in parallel; a block consumes its repeat's generator exactly

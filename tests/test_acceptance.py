@@ -258,9 +258,9 @@ def test_criterion_9_determinism_and_formats(tmp_path):
     args = ["detect", *paths, "--out", out, "--sketch-size", "12",
             "--sketch-repeats", "2", "--max-iter", "15"]
     assert main(args) == 0
-    payload = open(str(tmp_path / "scores.raw"), "rb").read()
+    payload = (tmp_path / "scores.raw").read_bytes()
     assert main(["rerun", out + ".manifest.json"]) == 0
-    identical = open(str(tmp_path / "scores.raw"), "rb").read() == payload
+    identical = (tmp_path / "scores.raw").read_bytes() == payload
 
     # format round trips at stored precision
     rng = np.random.default_rng(9)

@@ -57,6 +57,25 @@ class TestDefaults:
         assert cli._synth_spec(args) == SynthSpec()
 
 
+def _json_without(key):
+    return lambda m: json.dumps({k: v for k, v in m.items()
+                                 if k != key}).encode()
+
+
+# manifests that rerun refuses, each made from a valid detect manifest
+BAD_MANIFESTS = {
+    "no_argv": _json_without("argv"),
+    "no_outputs": _json_without("outputs"),
+    "no_input_sha256": _json_without("input_sha256"),
+    "no_output_sha256": _json_without("output_sha256"),
+    "argv_not_strings": lambda m: json.dumps({**m, "argv": [1]}).encode(),
+    "json_list": lambda m: json.dumps([m]).encode(),
+    "invalid_json": lambda m: json.dumps(m).encode()[:-1],
+    "not_ascii": lambda m: json.dumps({**m, "command": "détect"},
+                                      ensure_ascii=False).encode(),
+}
+
+
 class TestDetect:
     def test_produces_scores_and_manifest(self, scene, tmp_path):
         out = str(tmp_path / "scores.hdr")
@@ -72,7 +91,8 @@ class TestDetect:
             "mu0", "mu_max", "rho", "seed", "sketch_average",
             "sketch_repeats", "sketch_size"]
         assert "convergence" in manifest
-        assert open(trace).readline().startswith("iteration,")
+        with open(trace) as fh:
+            assert fh.readline().startswith("iteration,")
 
     def test_missing_second_cube_usage_error(self, scene, tmp_path, capsys):
         code = main(["detect", scene["cubes"][0],
@@ -92,10 +112,10 @@ class TestDetect:
     def test_rerun_from_manifest_bit_identical(self, scene, tmp_path):
         out = str(tmp_path / "scores.hdr")
         assert main(detect_args(scene, out)) == 0
-        payload = open(out[:-4] + ".raw", "rb").read()
+        payload = Path(out[:-4] + ".raw").read_bytes()
         manifest_path = out + ".manifest.json"
         assert main(["rerun", manifest_path]) == 0
-        assert open(out[:-4] + ".raw", "rb").read() == payload
+        assert Path(out[:-4] + ".raw").read_bytes() == payload
 
 
     def test_manifest_records_input_checksums(self, scene, tmp_path):
@@ -239,21 +259,29 @@ class TestDetect:
         assert f"{payload}: the replay's sha256 differs" in err
         assert f"max relative deviation of the map: {expected:.3g}" in err
 
-    def test_rerun_of_manifest_without_output_checksums(self, scene,
-                                                        tmp_path, capsys):
+    @pytest.mark.parametrize("case", BAD_MANIFESTS)
+    def test_rerun_refuses_a_malformed_manifest(self, scene, tmp_path,
+                                                monkeypatch, capsys, case):
+        # exit 1 naming the manifest, before any replay; a manifest without
+        # output checksums is one of them
         out = str(tmp_path / "scores.hdr")
         assert main(detect_args(scene, out)) == 0
         manifest_path = Path(out + ".manifest.json")
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["output_sha256"]
-        manifest_path.write_text(json.dumps(manifest))
+        manifest_path.write_bytes(
+            BAD_MANIFESTS[case](json.loads(manifest_path.read_text())))
         payload = (tmp_path / "scores.raw").read_bytes()
+
+        def detect(*args, **kwargs):
+            raise AssertionError("the manifest was replayed")
+
+        monkeypatch.setattr(cli, "detect_with_result", detect)
         capsys.readouterr()
-        assert main(["rerun", str(manifest_path)]) == 0
-        assert "records no output checksums" in capsys.readouterr().err
+        assert main(["rerun", str(manifest_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"smsl: {manifest_path}: " in err
+        if case == "no_output_sha256":
+            assert "records no output checksums" in err
         assert (tmp_path / "scores.raw").read_bytes() == payload
-        # the replay wrote a manifest of its own, with the checksums
-        assert "output_sha256" in json.loads(manifest_path.read_text())
 
     def test_zero_ridge_rank_deficient_usage_error(self, scene, tmp_path,
                                                    capsys):
@@ -291,6 +319,12 @@ class TestBaseline:
                      "--out", out]) == 0
         assert load_scores(out).scores.min() >= 0
 
+    def test_negative_ridge_usage_error(self, scene, tmp_path, capsys):
+        code = main(["baseline", *scene["cubes"], "--method", "rx",
+                     "--ridge", "-1", "--out", str(tmp_path / "x.hdr")])
+        assert code == 2
+        assert "ridge must be nonnegative" in capsys.readouterr().err
+
     def test_unknown_method(self, scene, tmp_path, capsys):
         code = main(["baseline", *scene["cubes"], "--method", "kernel",
                      "--out", str(tmp_path / "x.hdr")])
@@ -324,7 +358,17 @@ class TestEval:
         assert main(["eval", "--scores", s, "--mask", m,
                      "--roc-out", roc_out]) == 0
         assert "auc=0.750000" in capsys.readouterr().out
-        assert open(roc_out).readline().strip() == "fpr,tpr"
+        with open(roc_out) as fh:
+            assert fh.readline().strip() == "fpr,tpr"
+
+    def test_negative_score_exit_1(self, tmp_path, capsys):
+        s = self.fixture_scores(tmp_path, [4, 3, 1, 0])
+        payload = tmp_path / "s.raw"
+        payload.write_bytes(np.array([4, 3, -1, 0], dtype="<f4").tobytes())
+        m = self.fixture_mask(tmp_path, [1, 1, 0, 0])
+        assert main(["eval", "--scores", s, "--mask", m]) == 1
+        err = capsys.readouterr().err
+        assert f"payload {payload}: scores must be nonnegative" in err
 
     def test_mismatched_sizes_exit_1(self, tmp_path, capsys):
         s = self.fixture_scores(tmp_path, [1, 2, 3, 4], (2, 2))
@@ -406,7 +450,7 @@ class TestSweep:
                      "--sketch-size", "12", "--sketch-repeats", "1",
                      "--max-iter", "10"])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "lambda2,lambda3,auc"
         assert len(lines) == 5
 

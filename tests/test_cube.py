@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smsl import cube
 from smsl.cube import (DetectionMap, FormatError, GroundTruthMask, HyperCube,
                        ViewSet, flatten, load_cube, load_mask, load_scores,
                        save_cube, save_mask, save_scores, unflatten)
@@ -49,8 +50,31 @@ def test_load_cube_rejects_non_finite(tmp_path):
         "magic=smsl-cube\nversion=1\nbands=1\nheight=1\nwidth=2\n"
         "dtype=f32\nlayout=bsq\nbyte_order=little\npayload=c.raw\n"
     )
-    with pytest.raises(FormatError, match="index 1"):
+    with pytest.raises(FormatError, match="index 1") as caught:
         load_cube(str(tmp_path / "c.hdr"))
+    assert str(tmp_path / "c.raw") in str(caught.value)
+
+
+def test_hypercube_rejects_non_finite_in_memory():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(FormatError, match="index 2"):
+            HyperCube(1, 2, 2, np.array([0.0, 1.0, bad, 3.0]))
+
+
+def test_loaded_views_are_scanned_once(tmp_path, monkeypatch):
+    # the type scans a view for non-finite values; neither reading the
+    # payload nor stacking the view into a ViewSet scans it again
+    paths = []
+    for s in range(2):
+        paths.append(str(tmp_path / f"view_{s}.hdr"))
+        save_cube(HyperCube(3, 4, 5, np.arange(60.0) + s), paths[-1])
+    scanned = []
+    check = cube._check_finite
+    monkeypatch.setattr(cube, "_check_finite",
+                        lambda arr, what: scanned.append(arr.size)
+                        or check(arr, what))
+    ViewSet(tuple(load_cube(p) for p in paths))
+    assert scanned == [60, 60]
 
 
 def test_load_cube_bad_magic(tmp_path):
