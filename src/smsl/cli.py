@@ -13,8 +13,9 @@ command into a temporary directory and compares the sha256 of each output
 with the recorded one: exit 1 naming the first file that differs, and the
 max relative deviation of the replayed score map when that file belongs to
 one. The original outputs are left as they are. A manifest that is not a
-JSON object recording `argv`, `outputs`, `input_sha256` and `output_sha256`
-is not replayed: exit 1 naming it.
+JSON object recording `argv`, `outputs`, `input_sha256` and `output_sha256`,
+whose `argv` does not parse, or that records a rerun is not replayed: exit
+1 naming it.
 
 Exit codes: 0 success, 1 runtime/data failure, 2 usage/config error.
 """
@@ -22,7 +23,9 @@ Exit codes: 0 success, 1 runtime/data failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -168,7 +171,11 @@ def cmd_detect(args) -> dict:
     convergence = {k: getattr(result, k) for k in (
         "converged", "iterations_run", "svt_iterations", "w_nonzero_columns")}
     convergence["final_max_residual"] = result.residual_history[-1]
-    return {"convergence": convergence}
+    # the thread variables alone do not say this: with numpy's BLAS thread
+    # count settable, the solver holds it at one while its blocks run
+    threads = {k: getattr(result, k)
+               for k in ("block_threads", "block_blas_threads")}
+    return {"convergence": convergence, "threads": threads}
 
 
 def cmd_baseline(args) -> dict:
@@ -301,8 +308,27 @@ def _read_manifest(path: str) -> dict:
     return manifest
 
 
+def _replayed_args(argv: list, path: str) -> argparse.Namespace:
+    """The parsed command line argv of the manifest at path, or else a
+    FormatError that names it: argv does not parse, or is a rerun, which
+    writes no manifest of its own."""
+    usage = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(usage):
+            args = build_parser().parse_args(argv)
+    except SystemExit:
+        error = usage.getvalue().strip().rpartition("\n")[2]
+        raise cube.FormatError(f"{path}: its command line does not parse "
+                               f"({error})") from None
+    if args.command == "rerun":
+        raise cube.FormatError(f"{path}: records a rerun, which writes no "
+                               "manifest")
+    return args
+
+
 def cmd_rerun(args) -> int:
     manifest = _read_manifest(args.manifest)
+    replayed_args = _replayed_args(manifest["argv"], args.manifest)
     recorded = manifest["input_sha256"]
     for path, digest in recorded.items():
         if _sha256(path) != digest:
@@ -312,7 +338,7 @@ def cmd_rerun(args) -> int:
             )
     expected = manifest["output_sha256"]
     with tempfile.TemporaryDirectory(prefix="smsl-rerun-") as tmp:
-        code = _run(manifest["argv"], recorded, tmp)
+        code = _execute(replayed_args, manifest["argv"], recorded, tmp)
         if code != 0:
             return code
         with open(_replay_path(args.manifest, tmp), encoding="ascii") as fh:
@@ -378,21 +404,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    return _run(list(sys.argv[1:] if argv is None else argv), {})
-
-
-def _run(argv: list, verified_sha256: dict, replay_dir=None) -> int:
-    """Parse, run and time one command, write its manifest and return the
-    exit code. A command returns its own manifest entries, or rerun the
-    replay's exit code. `verified_sha256` maps input paths to digests the
-    caller has just checked; the manifest reuses them. With a replay_dir,
-    the command writes its outputs and manifest under it instead (see
-    _replay_path)."""
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    return _execute(args, argv, {})
+
+
+def _execute(args, argv: list, verified_sha256: dict, replay_dir=None) -> int:
+    """Run and time the command of args, parsed from argv, write its
+    manifest and return the exit code. A command returns its own manifest
+    entries, or rerun the replay's exit code. `verified_sha256` maps input
+    paths to digests the caller has just checked; the manifest reuses them.
+    With a replay_dir, the command writes its outputs and manifest under it
+    instead (see _replay_path)."""
     if replay_dir is not None:
         _redirect_outputs(args, replay_dir)
     try:

@@ -56,17 +56,23 @@ moves by mu times its gap. So the state is scanned block by block
 ||C + Y4/mu||_F^2 or r1-r3 is not finite after pass A, or r4 is not after
 pass B. The first check runs before J, so a non-finite C is reported as
 such and never reaches the SVT.
-The blocks run on min(blocks, CPUs // BLAS threads) threads (see
-_block_workers), and their results are combined in block order, so the
+The blocks run on one thread when they are small, else on one thread per
+CPU with numpy's BLAS held at one thread while they run (the J step keeps
+its count), or, when that count cannot be set, on CPUs // BLAS threads
+(see _block_workers). Their results are combined in block order, so the
 bits do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -136,6 +142,9 @@ class SolveResult:
     trace: list  # per-iteration (iteration, r1, r2, r3, r4, mu)
     svt_iterations: int  # iterations after which J was nonzero
     w_nonzero_columns: list  # per view, the most nonzero W^s columns held
+    block_threads: int  # threads that ran the column blocks
+    # numpy's BLAS thread count while they ran; None when it cannot be read
+    block_blas_threads: int | None
 
     @property
     def iterations_run(self) -> int:
@@ -256,8 +265,20 @@ _BLOCK_COLUMNS = 512
 # against 2.70 ms for 5 x 200 (medians of 6; the state fits a 2 MB L2 cache),
 # but criterion 7's fitted exponent then read 1.31-1.48 (0.99-1.22 with it).
 _MIN_BLOCKS = 5
+# Below this many bytes of L- and n_h-row arrays over all views,
+# 8 width S (2L + n_h), a block runs on the calling thread. Time per
+# iteration of 2 block threads (BLAS held at one) over 1 (BLAS at its 2),
+# 2 vCPUs, no thread variable set, two measurements each:
+#   L = 16, n_h = 50, N = 1000-8000 (criterion 7)  0.26-0.67 MB  1.5-7.7
+#   L = 32, n_h = 100, S = 2                       1.34 MB       0.76
+#   L = 32, n_h = 100, S = 3 (drift3)              2.0 MB        0.62-0.74
+#   L = 16, n_h = 500 (default64)                  4.4 MB        0.54-0.75
+#   L = 224, n_h = 200, N = 40000 (sensor)         5.3 MB        0.47-0.52
+_SMALL_BLOCK_BYTES = 1 << 20
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _ALL = slice(None)
+# numpy's BLAS thread count is process-wide: one solve at a time holds it
+_BLAS_LOCK = threading.Lock()
 
 
 def _column_blocks(n_pixels: int) -> list:
@@ -267,14 +288,53 @@ def _column_blocks(n_pixels: int) -> list:
     return [slice(a, a + width) for a in range(0, n_pixels, width)]
 
 
-def _block_workers(n_blocks: int) -> int:
-    """Threads that run the column blocks: the CPUs this process may run on,
-    divided by the threads each BLAS call takes (the first thread variable
-    that is set; unset means all CPUs), at most one per block."""
+# numpy's BLAS thread count: int get(void) and void set(int)
+_BlasThreads = namedtuple("_BlasThreads", "get set")
+
+
+@cache
+def _blas_threads() -> _BlasThreads | None:
+    """numpy's own OpenBLAS thread-count functions, or None on another
+    BLAS. Symbols are looked up through numpy's extension module, whose
+    handle searches only it and its dependencies, so a second OpenBLAS in
+    the process (scipy ships one) is never the one found."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                           ("openblas_", "")):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        # C ints whatever the BLAS's integer interface
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return _BlasThreads(get, set_)
+    return None
+
+
+def _block_workers(n_blocks: int, block_bytes: int) -> int:
+    """Threads that run the column blocks, at most one per block: one for a
+    block under _SMALL_BLOCK_BYTES; else the CPUs this process may run on
+    when numpy's BLAS thread count can be set (solve() holds it at one
+    while the blocks run), or else those CPUs divided by the threads each
+    BLAS call takes (the first thread variable that is set; unset means all
+    CPUs)."""
+    if block_bytes < _SMALL_BLOCK_BYTES:
+        return 1
     cpus = _available_cpus()
-    value = next((v for v in map(os.environ.get, _THREAD_VARS) if v), "")
-    threads = int(value) if value.strip().isdigit() else 0
-    return max(1, min(n_blocks, cpus // (threads if threads > 0 else cpus)))
+    if _blas_threads() is None:
+        value = next((v for v in map(os.environ.get, _THREAD_VARS) if v), "")
+        threads = int(value) if value.strip().isdigit() else 0
+        cpus //= threads if threads > 0 else cpus
+    return max(1, min(n_blocks, cpus))
 
 
 def _q_block(gram, state, x, s, cols) -> np.ndarray:
@@ -507,7 +567,13 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0, gram.basis)
     inv_c = gram.coords_inverse(1.0, n_views)
     blocks = _column_blocks(n_pixels)
-    workers = _block_workers(len(blocks))
+    width = blocks[0].stop - blocks[0].start
+    workers = _block_workers(len(blocks),
+                             8 * width * n_views * (2 * n_bands + n_h))
+    handle = _blas_threads()
+    # held at one BLAS thread while more than one block thread runs
+    blas = handle if workers > 1 else None
+    blas_threads = 1 if blas else handle and handle.get()
 
     # W_{k-1} per view as (column indices, values), and its mu_k
     w_old, mu_old = list(zip(state.w_cols, state.w)), state.mu
@@ -515,14 +581,25 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     trace = []
     svt_iterations = 0
     w_nonzero = [0] * n_views
-    with ThreadPoolExecutor(workers) as pool:
-        run = pool.map if workers > 1 else map
+    with _BLAS_LOCK if blas else nullcontext(), \
+            ThreadPoolExecutor(workers) as pool:
+        mapper = pool.map if workers > 1 else map
+
+        def run(fn) -> list:
+            if blas is None:
+                return list(mapper(fn, blocks))
+            count = blas.get()
+            blas.set(1)
+            try:
+                return list(mapper(fn, blocks))
+            finally:
+                blas.set(count)
+
         for it in range(1, cfg.max_iter + 1):
             mu = state.mu
             inv_d = gram.inverse(cfg.lambda2, mu)
-            parts = list(run(partial(_pass_a, xs, gram, inv_c, inv_d,
-                                     state, w_old, mu_old / mu,
-                                     cfg.lambda3), blocks))
+            parts = run(partial(_pass_a, xs, gram, inv_c, inv_d, state,
+                                w_old, mu_old / mu, cfg.lambda3))
             w_old, mu_old = list(zip(state.w_cols, state.w)), mu
             state.w_cols, state.w = _join_blocks(blocks,
                                                  [p[5] for p in parts])
@@ -543,7 +620,7 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
             else:
                 state.j = svt(state.c + state.y4 / mu, tau)
                 svt_iterations += bool(state.j.any())
-            gaps = list(run(partial(_cj_block, state, j_zero=j_zero), blocks))
+            gaps = run(partial(_cj_block, state, j_zero=j_zero))
             r4 = float(np.max([p[4] for p in parts] if j_zero else gaps))
             if not np.isfinite(r4):
                 _check_finite(state, it)
@@ -556,7 +633,8 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
 
     return SolveResult(state=state, converged=converged, trace=trace,
                        svt_iterations=svt_iterations,
-                       w_nonzero_columns=w_nonzero)
+                       w_nonzero_columns=w_nonzero, block_threads=workers,
+                       block_blas_threads=blas_threads)
 
 
 def write_trace_csv(trace: list, path: str) -> None:

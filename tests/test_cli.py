@@ -73,6 +73,19 @@ BAD_MANIFESTS = {
     "invalid_json": lambda m: json.dumps(m).encode()[:-1],
     "not_ascii": lambda m: json.dumps({**m, "command": "détect"},
                                       ensure_ascii=False).encode(),
+    "argv_does_not_parse": lambda m: json.dumps({**m, "argv": ["detect"]})
+    .encode(),
+    # the manifest of a detect lies beside its first output
+    "argv_reruns_itself": lambda m: json.dumps(
+        {**m, "argv": ["rerun", m["outputs"][0] + ".manifest.json"]}).encode(),
+}
+# what rerun says of some of them, after the manifest's path
+BAD_MANIFEST_ERRORS = {
+    "no_output_sha256": "records no output checksums",
+    "argv_does_not_parse": "its command line does not parse (smsl detect: "
+                           "error: the following arguments are required: "
+                           "cubes, --out)",
+    "argv_reruns_itself": "records a rerun",
 }
 
 
@@ -202,6 +215,27 @@ class TestDetect:
         assert len(convergence["w_nonzero_columns"]) == 2
         assert all(0 <= n <= 100 for n in convergence["w_nonzero_columns"])
 
+    @pytest.mark.parametrize("settable", [True, False])
+    def test_manifest_records_the_solve_threads(self, scene, tmp_path,
+                                                monkeypatch, settable):
+        # the block threads and the BLAS count inside them, which the
+        # thread variables alone do not give: with numpy's BLAS count
+        # settable, it is one while more than one block thread runs
+        handle = solver._blas_threads()
+        if settable and handle is None:
+            pytest.skip("numpy's BLAS thread count cannot be set")
+        monkeypatch.setattr(solver, "_SMALL_BLOCK_BYTES", 0)
+        monkeypatch.setattr(solver, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(solver, "_blas_threads",
+                            lambda: handle if settable else None)
+        for var in solver._THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        out = str(tmp_path / "scores.hdr")
+        assert main(detect_args(scene, out)) == 0
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["threads"] == {
+            "block_threads": 2, "block_blas_threads": 1 if settable else None}
+
     def test_rerun_replays_beside_the_originals(self, scene, tmp_path):
         out = str(tmp_path / "scores.hdr")
         trace = str(tmp_path / "trace.csv")
@@ -263,7 +297,8 @@ class TestDetect:
     def test_rerun_refuses_a_malformed_manifest(self, scene, tmp_path,
                                                 monkeypatch, capsys, case):
         # exit 1 naming the manifest, before any replay; a manifest without
-        # output checksums is one of them
+        # output checksums is one of them, and so is one whose command line
+        # does not parse or replays a rerun (which would recurse)
         out = str(tmp_path / "scores.hdr")
         assert main(detect_args(scene, out)) == 0
         manifest_path = Path(out + ".manifest.json")
@@ -278,9 +313,9 @@ class TestDetect:
         capsys.readouterr()
         assert main(["rerun", str(manifest_path)]) == 1
         err = capsys.readouterr().err
-        assert f"smsl: {manifest_path}: " in err
-        if case == "no_output_sha256":
-            assert "records no output checksums" in err
+        assert err.startswith(f"smsl: {manifest_path}: "
+                              + BAD_MANIFEST_ERRORS.get(case, ""))
+        assert "usage:" not in err
         assert (tmp_path / "scores.raw").read_bytes() == payload
 
     def test_zero_ridge_rank_deficient_usage_error(self, scene, tmp_path,

@@ -207,7 +207,8 @@ def test_storage_precision_does_not_change_the_map(
     # float32 views loaded from cube files give the bits of float64 cubes
     # with the same values: every product widens them exactly
     monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 64)
-    monkeypatch.setattr(solver_mod, "_block_workers", lambda n: workers)
+    monkeypatch.setattr(solver_mod, "_block_workers",
+                        lambda n, size: workers)
     scene, _ = synth_scene(SynthSpec(height=16, width=20, bands=12,
                                      views=n_views, n_anomalies=6, seed=4))
     paths = [str(tmp_path / f"view_{s}.hdr") for s in range(n_views)]
@@ -226,3 +227,28 @@ def test_storage_precision_does_not_change_the_map(
     assert loaded.stacked.dtype == np.float32
     assert np.array_equal(got.scores, want.scores)
     assert got_result.trace == want_result.trace
+
+
+@pytest.mark.parametrize("n_views,average_mode,n_h", [
+    (2, "dictionary", 40), (3, "scores", 10),
+])
+def test_map_does_not_depend_on_the_blas_handle(monkeypatch, n_views,
+                                                average_mode, n_h):
+    # blocks of 64 columns on every CPU with numpy's BLAS held at one
+    # thread, or with the handle gone, on the thread variables' rule
+    monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 64)
+    monkeypatch.setattr(solver_mod, "_SMALL_BLOCK_BYTES", 0)
+    views, _ = synth_scene(SynthSpec(height=16, width=20, bands=12,
+                                     views=n_views, n_anomalies=6, seed=5))
+    cfg = DetectorConfig(
+        sketch=SketchConfig(n_h=n_h, seed=3, repeats=3,
+                            average_mode=average_mode),
+        solver=SolverConfig(max_iter=8))
+    runs = []
+    for handle in (solver_mod._blas_threads(), None):
+        monkeypatch.setattr(solver_mod, "_blas_threads", lambda: handle)
+        runs.append(detect_with_result(views, cfg))
+    (got, got_result), (want, want_result) = runs
+    assert np.array_equal(got.scores, want.scores)
+    assert got_result.trace == want_result.trace
+    assert want_result.block_blas_threads is None

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import sys
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -11,6 +12,31 @@ import smsl.solver as solver_mod
 from smsl.solver import (SolverConfig, SolverError, init_state, solve,
                          update_c, update_d, update_e)
 from smsl.prox import l21_shrink, svt
+
+
+class FakeBlas:
+    """A BLAS thread count that solve() may read and set."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+
+
+@pytest.fixture
+def blas():
+    """numpy's own BLAS thread-count handle, at 2 threads for the test."""
+    handle = solver_mod._blas_threads()
+    if handle is None:
+        pytest.skip("numpy's BLAS thread count cannot be set")
+    count = handle.get()
+    handle.set(2)
+    yield handle
+    handle.set(count)
 
 
 def random_instance(rng, n_views=2, n_bands=4, n_pixels=6, n_h=3, mu=0.37,
@@ -437,7 +463,8 @@ class TestSolve:
         # with solve()
         if block is not None:
             monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", block)
-            monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 2)
+            monkeypatch.setattr(solver_mod, "_block_workers",
+                                lambda n, size: 2)
         rng = np.random.default_rng(27 + n_views + n_h)
         xs = [rng.standard_normal((n_bands, 30)) for _ in range(n_views)]
         h = rng.standard_normal((n_bands, n_h))
@@ -461,7 +488,8 @@ class TestSolve:
         # blocks of 4 columns and zero on others, and a column of the first
         # view turns nonzero and then zero again, so E^s reads W_{k-1}
         monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
-        monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 2)
+        monkeypatch.setattr(solver_mod, "_block_workers",
+                            lambda n, size: 2)
         rng = np.random.default_rng(4)
         h = rng.standard_normal((4, 9))
         a = rng.dirichlet(np.ones(9), size=30).T
@@ -519,7 +547,7 @@ class TestSolve:
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(solver_mod, "_block_workers",
-                                lambda n, w=workers: w)
+                                lambda n, size, w=workers: w)
             results.append(solve(xs, h, cfg))
         first = results[0]
         for res in results[1:]:
@@ -549,22 +577,29 @@ class TestSolve:
     ], ids=["one_thread", "two_threads", "first_set_wins", "all_cpus",
             "unset"])
     def test_block_workers_rule(self, monkeypatch, env, workers):
-        # 4 CPUs: the workers are the CPUs over the BLAS threads of each,
-        # at most one per block
+        # 4 CPUs, at most one worker per block. A small block runs on one;
+        # with numpy's BLAS count settable every CPU runs one, whatever the
+        # variables; without, the CPUs over the BLAS threads of each
         monkeypatch.setattr(solver_mod, "_available_cpus", lambda: 4)
         for var in solver_mod._THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert solver_mod._block_workers(100) == workers
-        assert solver_mod._block_workers(3) == min(3, workers)
+        big = solver_mod._SMALL_BLOCK_BYTES
+        rule = solver_mod._block_workers
+        for handle in (FakeBlas(2), None):
+            monkeypatch.setattr(solver_mod, "_blas_threads", lambda: handle)
+            assert rule(100, big - 1) == 1
+            assert rule(100, big) == (4 if handle else workers)
+            assert rule(3, big) == (3 if handle else min(3, workers))
 
     def test_traced_names_stay_on_the_calling_thread(self, monkeypatch):
         # the benchmark's span recorder keeps one stack per process, so the
         # solver names it wraps (perfbench/tracing.py) must not run on a
         # block worker
         monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
-        monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 3)
+        monkeypatch.setattr(solver_mod, "_block_workers",
+                            lambda n, size: 3)
         threads = []
         for name in ("svt", "update_e"):
             fn = getattr(solver_mod, name)
@@ -607,7 +642,8 @@ class TestSolve:
     def test_peak_memory_with_coordinates(self, monkeypatch):
         # r = 17 < n_h = 500: C, J and Y4 are 17 x N coordinates, so the
         # only n_h x N arrays are the S blocks D^s
-        monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 1)
+        monkeypatch.setattr(solver_mod, "_block_workers",
+                            lambda n, size: 1)
         rng = np.random.default_rng(35)
         n_views, n_h, n_pixels = 2, 500, 4096
         xs = [rng.standard_normal((16, n_pixels)) for _ in range(n_views)]
@@ -625,7 +661,8 @@ class TestSolve:
         # r = 17 < n_h = 500: the C step, the D^s right-hand sides and the
         # fits are formed as r-row coordinates, so a block of 512 columns
         # takes fewer than four n_h x 512 temporaries at a time
-        monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 1)
+        monkeypatch.setattr(solver_mod, "_block_workers",
+                            lambda n, size: 1)
         rng = np.random.default_rng(37)
         n_views, n_h, n_pixels = 2, 500, 4096
         xs = [rng.standard_normal((16, n_pixels)) for _ in range(n_views)]
@@ -647,7 +684,8 @@ class TestSolve:
         # D^s, E^s, Y1^s and Y2^s, and block temporaries (one block thread,
         # 16 blocks of 512 columns) well below one L x N array; a dense
         # Y3^s or W^s per view would add two L x N arrays
-        monkeypatch.setattr(solver_mod, "_block_workers", lambda n: 1)
+        monkeypatch.setattr(solver_mod, "_block_workers",
+                            lambda n, size: 1)
         rng = np.random.default_rng(36)
         n_views, n_bands, n_h, n_pixels = 2, 64, 20, 8192
         xs = [rng.standard_normal((n_bands, n_pixels))
@@ -731,3 +769,118 @@ class TestSolve:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,r1,r2,r3,r4,mu"
         assert len(lines) == 5
+
+
+def _instance(seed):
+    rng = np.random.default_rng(seed)
+    xs = [rng.standard_normal((4, 30)) for _ in range(2)]
+    return xs, rng.standard_normal((4, 9))
+
+
+def _assert_same_solve(a, b):
+    assert a.trace == b.trace
+    for name in ("c", "j", "y4"):
+        assert np.array_equal(getattr(a.state, name), getattr(b.state, name))
+    for name in ("d", "e", "w", "w_cols", "y1", "y2"):
+        for x, y in zip(getattr(a.state, name), getattr(b.state, name)):
+            assert np.array_equal(x, y)
+
+
+class TestBlasThreads:
+    @pytest.fixture(autouse=True)
+    def two_block_threads(self, monkeypatch):
+        # 30 columns in blocks of 4, on two block threads
+        monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
+        monkeypatch.setattr(solver_mod, "_block_workers",
+                            lambda n, size: 2)
+
+    def test_one_blas_thread_in_blocks_only(self, monkeypatch, blas):
+        # the blocks run with numpy's BLAS at one thread, the J step's SVT
+        # with its own count, which is back after the solve
+        in_blocks, in_j = [], []
+        for name, seen in (("_pass_a", in_blocks), ("_cj_block", in_blocks),
+                           ("svt", in_j)):
+            fn = getattr(solver_mod, name)
+
+            def record(*args, fn=fn, seen=seen, **kwargs):
+                seen.append((threading.current_thread(), blas.get()))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(solver_mod, name, record)
+        result = solve(*_instance(38), ACTIVE_SVT)
+        assert {count for _, count in in_blocks} == {1}
+        assert threading.main_thread() not in {t for t, _ in in_blocks}
+        assert in_j and {count for _, count in in_j} == {2}
+        assert blas.get() == 2
+        assert (result.block_threads, result.block_blas_threads) == (2, 1)
+
+    @pytest.mark.parametrize("in_block", [False, True],
+                             ids=["non_finite_c", "raised_in_block"])
+    def test_blas_count_restored_after_solver_error(self, monkeypatch, blas,
+                                                    in_block):
+        # the non-finite C of test_non_finite_c_reported_before_the_j_step
+        # fails between the block passes; an error raised on a block
+        # thread fails inside one
+        c_step = solver_mod._c_step
+
+        def nan_from_iteration_2(gram, inv_c, state, *args):
+            c = c_step(gram, inv_c, state, *args)
+            if state.mu > ACTIVE_SVT.mu0:
+                if in_block:
+                    raise SolverError("raised in a block")
+                c[0, 0] = np.nan
+            return c
+
+        monkeypatch.setattr(solver_mod, "_c_step", nan_from_iteration_2)
+        with pytest.raises(SolverError):
+            solve(*_instance(34), ACTIVE_SVT)
+        assert blas.get() == 2
+
+    def test_concurrent_solves(self, monkeypatch, blas):
+        # two solves at once give the serial bits, every J step sees the
+        # configured count, and it is back afterwards
+        in_j = []
+        fn = solver_mod.svt
+
+        def record(*args, **kwargs):
+            in_j.append(blas.get())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "svt", record)
+        instances = [_instance(40), _instance(41)]
+        serial = [solve(*inst, ACTIVE_SVT) for inst in instances]
+        results = [None, None]
+        barrier = threading.Barrier(2)
+
+        def run(k):
+            barrier.wait()
+            results[k] = solve(*instances[k], ACTIVE_SVT)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            _assert_same_solve(got, want)
+        assert in_j and set(in_j) == {2}
+        assert blas.get() == 2
+
+
+def test_bits_do_not_depend_on_the_blas_handle(monkeypatch):
+    # the rule itself: every CPU with the handle, the thread variables
+    # without it
+    monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
+    monkeypatch.setattr(solver_mod, "_SMALL_BLOCK_BYTES", 0)
+    results = []
+    for handle in (solver_mod._blas_threads(), None):
+        monkeypatch.setattr(solver_mod, "_blas_threads", lambda: handle)
+        results.append(solve(*_instance(39), ACTIVE_SVT))
+    _assert_same_solve(*results)
+    assert results[1].block_blas_threads is None
