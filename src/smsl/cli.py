@@ -175,7 +175,8 @@ def cmd_detect(args) -> dict:
     # count settable, the solver holds it at one while its blocks run
     threads = {k: getattr(result, k)
                for k in ("block_threads", "block_blas_threads")}
-    return {"convergence": convergence, "threads": threads}
+    return {"convergence": convergence, "threads": threads,
+            "timings": result.timings}
 
 
 def cmd_baseline(args) -> dict:

@@ -3,7 +3,8 @@ H, solve, then per-pixel residual norms between consecutive views."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,16 +59,19 @@ def detect(views: ViewSet, cfg: DetectorConfig = DetectorConfig()) -> DetectionM
 
 
 def detect_with_result(views: ViewSet, cfg: DetectorConfig):
-    """:func:`detect`, also returning the (last) SolveResult for
-    convergence reporting."""
+    """:func:`detect`, also returning the last SolveResult for convergence
+    reporting, with its timings summed over every solve."""
     height, width = views.height, views.width
     if cfg.sketch.average_mode == "scores":
         dictionaries = build_dictionaries(views, cfg.sketch)
     else:
         dictionaries = [build_dictionary(views, cfg.sketch)]
     maps = []
+    timings = Counter()
     for h in dictionaries:
         result = solve(views, h, cfg.solver)
+        timings.update(result.timings)
         maps.append(score_multiview(h, result.state.d, result.state.e,
                                     height, width).scores)
-    return DetectionMap(height, width, np.mean(maps, axis=0)), result
+    return (DetectionMap(height, width, np.mean(maps, axis=0)),
+            replace(result, timings=dict(timings)))

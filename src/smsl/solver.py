@@ -21,9 +21,15 @@ D^s penalty p = -lambda3 sum_{t != s} |D^t| leaves range(U); H'x has the
 coordinates P x, P = U'H'. So q_s, G C, C + D^s and the range terms z of
 the D^s system never have n_h rows: D^s = max(U(w z + (w - 1/a) U'p) + p/a,
 0) by Woodbury, with U'p from the U'D^t, and the fit is X^s - (HU)(c +
-U'D^s). A block takes 3S + 1 products with an n_h-row operand: per view
-U'D^s before and after its step and U z, and U c for max |C|. With
-n_h <= L+1, r = n_h (see _Gram).
+U'D^s). solve() carries each U'D^s from one iteration to the next: a D^s
+step writes it, the next C step reads it, and nothing between them moves
+D^s. A block then takes 2S + 1 products with an n_h-row operand: per view
+U z and U'D^s after its step, and U c for max |C|. With n_h <= L+1,
+r = n_h (see _Gram) and the carried coordinates are D^s itself.
+The clip np.maximum(x, 0.0) gives every entry of D^s as +0.0 or more
+(never -0.0), so D^t is |D^t| bit for bit and the D^s penalty reads the
+D^t as they are, with no |D^t| copy; update_d, which takes a state from
+its caller, takes |D^t| itself.
 The SVT is skipped whenever ||C + Y4/mu||_F <= lambda1/mu, which under the
 default schedule holds at every iteration of the synthetic benchmark scenes.
 
@@ -44,10 +50,12 @@ examples), so an iteration is one kernel over blocks of at most
 _BLOCK_COLUMNS pixel columns. Pass A takes a block through C and each D^s,
 then per view E^s, the ascent on Y1^s and Y2^s, and W^s; the coordinates
 of q_s = H'(X^s - E^s + Y1^s/mu) feed both the C and the D^s steps, and
-the fit both E^s and the data-fit gap. J feeds none of these steps, so the
-calling thread decides it after pass A, from the block sums of
-||C + Y4/mu||_F^2; pass B then takes the C-J gap (while J is zero, pass
-A's max |C|) and the ascent on Y4.
+the fit both E^s and the data-fit gap. A view whose W_k and W_{k-1} hold
+no column has no W term, and pass A skips its W bookkeeping. J feeds none
+of these steps, so the calling thread decides it after pass A, from the
+block sums of ||C + Y4/mu||_F^2; pass B then takes the C-J gap (while J is
+zero, pass A's max |C|) and the ascent on Y4. SolveResult.timings holds
+the seconds of pass A, the J step and pass B on the calling thread.
 The residuals double as the finiteness check. The column-sum gap r3 sees
 every entry of C (or of its coordinates) and of each D^s (D >= 0), the
 E-W gap r2 sees E^s and W^s, the C-J gap r4 sees J, and each multiplier
@@ -73,6 +81,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache, partial
+from time import perf_counter
 
 import numpy as np
 
@@ -135,6 +144,10 @@ class SolverState:
     y3: list = field(default_factory=list)
 
 
+# the parts of an iteration that SolveResult.timings times
+_PASSES = ("pass_a_s", "j_step_s", "pass_b_s")
+
+
 @dataclass(frozen=True)
 class SolveResult:
     state: SolverState
@@ -145,6 +158,9 @@ class SolveResult:
     block_threads: int  # threads that ran the column blocks
     # numpy's BLAS thread count while they ran; None when it cannot be read
     block_blas_threads: int | None
+    # wall seconds on the calling thread per part of an iteration (_PASSES),
+    # summed over the iterations
+    timings: dict
 
     @property
     def iterations_run(self) -> int:
@@ -205,9 +221,10 @@ class _Gram:
         self.p = self.coords(h.T)
         self.ones = np.ones(1) if full else self.coords(np.ones(n_h))
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """U'x, the coordinates of an x in range(U)."""
-        return x if self.basis is None else self.u.T @ x
+    def coords(self, x: np.ndarray, out=None) -> np.ndarray:
+        """U'x (into out), the coordinates of an x in range(U); x itself
+        when r = n_h."""
+        return x if self.basis is None else np.matmul(self.u.T, x, out=out)
 
     def scale(self, c: np.ndarray) -> np.ndarray:
         """The coordinates of G X, from those of X."""
@@ -226,16 +243,16 @@ class _Gram:
 
     def inverse(self, a: float, b: float):
         """The map (z, ps, pcs, k) -> (a I + b G)^-1 (U z + k sum(ps)), pcs
-        the coordinates of the n_h-row ps; z and ps are overwritten. With
-        r < n_h it is U(w z + k (w - 1/a) sum(pcs)) + (k/a) sum(ps) by
-        Woodbury, w = 1/(a + b g), and a = 0 is singular: LinAlgError."""
+        the coordinates of the n_h-row ps; z is overwritten, ps are only
+        read. With r < n_h it is U(w z + k (w - 1/a) sum(pcs)) + (k/a)
+        sum(ps) by Woodbury, w = 1/(a + b g), and a = 0 is singular:
+        LinAlgError."""
         if self.basis is None:
             inv = self.coords_inverse(a, b)
 
             def apply_dense(z, ps, pcs, k):
                 for p in ps:
-                    z += np.multiply(p, k, out=p)
-                ps = p = None  # freed before the n_h x k product
+                    z += k * p
                 return inv(z)
 
             return apply_dense
@@ -251,7 +268,7 @@ class _Gram:
             z += (k * wp) * sum(pcs)
             x = u @ z
             for p in ps:
-                x += np.multiply(p, k / a, out=p)
+                x += (k / a) * p
             return x
 
         return apply
@@ -277,6 +294,8 @@ _MIN_BLOCKS = 5
 _SMALL_BLOCK_BYTES = 1 << 20
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _ALL = slice(None)
+# a column-sparse W, or an E^s term, with no column
+_NO_COLUMNS = (np.zeros(0, dtype=np.intp), None)
 # numpy's BLAS thread count is process-wide: one solve at a time holds it
 _BLAS_LOCK = threading.Lock()
 
@@ -363,16 +382,18 @@ def _c_step(gram, inv_c, state, qs, ds, b, cols) -> np.ndarray:
     return inv_c(b)
 
 
-def _d_block(gram, inv_d, state, q, gc, ds, s, cols, lambda3, out=None):
+def _d_block(gram, inv_d, state, q, gc, d_abs, ds, s, cols, lambda3,
+             out=None):
     """D^s from (lambda2 I + mu G) D = mu (q_s - G C) + 1(mu - Y2^s)'
     - lambda3 sum_{t != s} |D^t|, clipped to be nonnegative (into out),
-    from coordinates q (overwritten), gc and ds of q_s, G C and each |D^t|."""
+    from the |D^t| in d_abs (only read) and coordinates q (overwritten), gc
+    and ds of q_s, G C and each |D^t|."""
     mu = state.mu
     z = np.subtract(q, gc, out=q)
     z *= mu
     z += gram.ones[:, None] * (mu - state.y2[s][cols])
-    others = state.d[:s] + state.d[s + 1:]
-    x = inv_d(z, [np.abs(d[:, cols]) for d in others], ds[:s] + ds[s + 1:],
+    others = d_abs[:s] + d_abs[s + 1:]
+    x = inv_d(z, [d[:, cols] for d in others], ds[:s] + ds[s + 1:],
               -lambda3)
     return np.maximum(x, 0.0, out=out)
 
@@ -399,10 +420,12 @@ def _e_term(w, w_old, ratio) -> tuple:
 def _e_block(fit, term, out=None) -> np.ndarray:
     """E^s = (fit + T)/2 (into out), the stationary point of the two
     quadratic penalties tied to E^s, with fit = X^s - H(C + D^s) and term
-    = (idx, T): T = W^s + (Y1^s - Y3^s)/mu on columns idx, zero elsewhere."""
+    = (idx, T): T = W^s + (Y1^s - Y3^s)/mu on columns idx, zero elsewhere
+    (everywhere when T is None)."""
     e = np.multiply(fit, 0.5, out=out)
     idx, t = term
-    e[:, idx] += 0.5 * t
+    if t is not None:
+        e[:, idx] += 0.5 * t
     return e
 
 
@@ -411,7 +434,8 @@ def _w_block(y1, w, mu) -> tuple:
     shrinkage at 1/mu of W + Y1^s/mu, with W = w as (indices, values) and
     y1 the block of Y1^s after its ascent."""
     q = y1 / mu
-    q[:, w[0]] += w[1]
+    if w[0].size:
+        q[:, w[0]] += w[1]
     return l21_columns(q, 1.0 / mu)
 
 
@@ -442,7 +466,8 @@ def _gap_block(state, s, colsum, fit, w, cols) -> tuple:
     w_new = _w_block(y1, w, mu)
     gap = fit  # E - W_new, in the spent data-fit buffer
     gap[...] = e
-    gap[:, w_new[0]] -= w_new[1]
+    if w_new[0].size:
+        gap[:, w_new[0]] -= w_new[1]
     return w_new, (r1, _max_abs(gap), r3)
 
 
@@ -456,30 +481,37 @@ def _cj_block(state, cols, j_zero=False):
     return r
 
 
-def _pass_a(xs, gram, inv_c, inv_d, state, w_old, ratio, lambda3, cols):
+def _pass_a(xs, gram, inv_c, inv_d, state, dcs, w_old, ratio, lambda3,
+            cols):
     """C and each D^s, then per view E^s, the ascent on Y1^s and Y2^s and
     the next W^s, on one block of columns. No D^t step reads what the
-    later steps of a view write, so this is the Gauss-Seidel order. w_old
-    holds each W_{k-1} as (column indices, values) and ratio is mu_k/mu.
-    Returns (||C + Y4/mu||_F^2, r1, r2, r3, max |C|, the next W^s of each
-    view as block-local (indices, values))."""
+    later steps of a view write, so this is the Gauss-Seidel order. dcs
+    holds each view's coordinates U'D^s as last updated, and each D step
+    writes its view's; w_old holds each W_{k-1} as (column indices,
+    values) and ratio is mu_k/mu. Returns (||C + Y4/mu||_F^2, r1, r2, r3,
+    max |C|, the next W^s of each view as block-local (indices, values))."""
     mu = state.mu
     qs = [_q_block(gram, state, x, s, cols) for s, x in enumerate(xs)]
-    ds = [gram.coords(d[:, cols]) for d in state.d]
+    ds = [dc[:, cols] for dc in dcs]
     b = state.y4[:, cols] / -mu
     b += state.j[:, cols]
     coords = state.c[:, cols] = _c_step(gram, inv_c, state, qs, ds, b, cols)
     gc = gram.scale(coords)
     for s, q in enumerate(qs):
-        # D >= 0, so ds holds the coordinates of each |D^t| as last updated
-        ds[s] = gram.coords(_d_block(gram, inv_d, state, q, gc, ds, s, cols,
-                                     lambda3, out=state.d[s][:, cols]))
+        # D >= 0 (the clip gives +0.0, never -0.0), so D^t is |D^t| and ds
+        # holds the coordinates of each |D^t| as last updated
+        d = _d_block(gram, inv_d, state, q, gc, state.d, ds, s, cols, lambda3,
+                     out=state.d[s][:, cols])
+        gram.coords(d, out=ds[s])
     del qs, gc
     r = np.zeros(3)
     w_new = []
     for s, x in enumerate(xs):
-        w = _in_block((state.w_cols[s], state.w[s]), cols)
-        term = _e_term(w, _in_block(w_old[s], cols), ratio)
+        if state.w_cols[s].size or w_old[s][0].size:
+            w = _in_block((state.w_cols[s], state.w[s]), cols)
+            term = _e_term(w, _in_block(w_old[s], cols), ratio)
+        else:  # W_k = W_{k-1} = 0: no W term in E^s or W^s
+            w = term = _NO_COLUMNS
         cd = coords + ds[s]  # H(C + D^s) = (HU)(c + U'D^s), HU = P'
         fit = x[:, cols] - gram.p.T @ cd
         _e_block(fit, term, out=state.e[s][:, cols])
@@ -524,10 +556,10 @@ def update_d(state: SolverState, views, h, s: int,
     for a state held in n_h space."""
     gram = _Gram(np.asarray(h, dtype=np.float64))
     q = _q_block(gram, state, _as_matrices(views)[s], s, _ALL)
-    ds = [gram.coords(np.abs(d)) for d in state.d]
+    d_abs = [np.abs(d) for d in state.d]  # the caller's D^t may be negative
     return _d_block(gram, gram.inverse(cfg.lambda2, state.mu), state, q,
-                    gram.scale(gram.coords(state.c)), ds, s, _ALL,
-                    cfg.lambda3)
+                    gram.scale(gram.coords(state.c)), d_abs,
+                    [gram.coords(d) for d in d_abs], s, _ALL, cfg.lambda3)
 
 
 def update_e(state: SolverState, views, h, s: int) -> np.ndarray:
@@ -575,12 +607,17 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     blas = handle if workers > 1 else None
     blas_threads = 1 if blas else handle and handle.get()
 
+    # each view's coordinates U'D^s, written by its D step and read by the
+    # next iteration's C step; with r = n_h they are D^s itself
+    dcs = state.d if gram.basis is None else [np.zeros(state.c.shape)
+                                              for _ in xs]
     # W_{k-1} per view as (column indices, values), and its mu_k
     w_old, mu_old = list(zip(state.w_cols, state.w)), state.mu
     converged = False
     trace = []
     svt_iterations = 0
     w_nonzero = [0] * n_views
+    seconds = np.zeros(3)  # in pass A, the J step and pass B
     with _BLAS_LOCK if blas else nullcontext(), \
             ThreadPoolExecutor(workers) as pool:
         mapper = pool.map if workers > 1 else map
@@ -596,9 +633,10 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
                 blas.set(count)
 
         for it in range(1, cfg.max_iter + 1):
+            t0 = perf_counter()
             mu = state.mu
             inv_d = gram.inverse(cfg.lambda2, mu)
-            parts = run(partial(_pass_a, xs, gram, inv_c, inv_d, state,
+            parts = run(partial(_pass_a, xs, gram, inv_c, inv_d, state, dcs,
                                 w_old, mu_old / mu, cfg.lambda3))
             w_old, mu_old = list(zip(state.w_cols, state.w)), mu
             state.w_cols, state.w = _join_blocks(blocks,
@@ -610,6 +648,7 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
             r = np.max([p[1:4] for p in parts], axis=0)
             if not (np.isfinite(m2) and np.isfinite(r).all()):
                 _check_finite(state, it)
+            t1 = perf_counter()
             # M = C + Y4/mu lies in range(U), so its SVT is U svt(U'M): J's
             # coordinates are the SVT of M's. ||U'M||_F = ||M||_F, so at or
             # below the threshold J is zero (np.zeros: pages never written).
@@ -620,7 +659,9 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
             else:
                 state.j = svt(state.c + state.y4 / mu, tau)
                 svt_iterations += bool(state.j.any())
+            t2 = perf_counter()
             gaps = run(partial(_cj_block, state, j_zero=j_zero))
+            seconds += (t1 - t0, t2 - t1, perf_counter() - t2)
             r4 = float(np.max([p[4] for p in parts] if j_zero else gaps))
             if not np.isfinite(r4):
                 _check_finite(state, it)
@@ -634,7 +675,8 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     return SolveResult(state=state, converged=converged, trace=trace,
                        svt_iterations=svt_iterations,
                        w_nonzero_columns=w_nonzero, block_threads=workers,
-                       block_blas_threads=blas_threads)
+                       block_blas_threads=blas_threads,
+                       timings=dict(zip(_PASSES, seconds.tolist())))
 
 
 def write_trace_csv(trace: list, path: str) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import smsl
-from smsl import cli, cube, evaluate, solver
+from smsl import cli, cube, detector, evaluate, solver
 from smsl.cli import main, parse_grid
 from smsl.cube import load_scores, save_cube, save_mask
 from smsl.detector import DetectorConfig
@@ -235,6 +235,35 @@ class TestDetect:
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["threads"] == {
             "block_threads": 2, "block_blas_threads": 1 if settable else None}
+
+    def test_manifest_records_the_solve_timings(self, scene, tmp_path,
+                                                monkeypatch):
+        # seconds on the calling thread in pass A, the J step and pass B,
+        # summed over every solve (two when the maps are averaged); they
+        # enter no file that rerun compares
+        solves = []
+
+        def recorded(*args, **kwargs):
+            result = solver.solve(*args, **kwargs)
+            solves.append(result.timings)
+            return result
+
+        monkeypatch.setattr(detector, "solve", recorded)
+        out = str(tmp_path / "scores.hdr")
+        trace = str(tmp_path / "trace.csv")
+        argv = detect_args(scene, out, ["--sketch-average", "scores",
+                                        "--trace", trace])
+        assert main(argv) == 0
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        timings = manifest["timings"]
+        assert len(solves) == 2
+        assert sorted(timings) == ["j_step_s", "pass_a_s", "pass_b_s"]
+        for name, seconds in timings.items():
+            assert seconds == solves[0][name] + solves[1][name]
+            assert seconds >= 0
+        assert 0 < sum(timings.values()) < manifest["wall_time_s"]
+        assert main(["rerun", out + ".manifest.json"]) == 0
+        assert len(solves) == 4
 
     def test_rerun_replays_beside_the_originals(self, scene, tmp_path):
         out = str(tmp_path / "scores.hdr")

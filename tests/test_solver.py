@@ -11,6 +11,7 @@ import pytest
 import smsl.solver as solver_mod
 from smsl.solver import (SolverConfig, SolverError, init_state, solve,
                          update_c, update_d, update_e)
+from smsl.detector import score_multiview
 from smsl.prox import l21_shrink, svt
 
 
@@ -159,6 +160,22 @@ class TestUpdateD:
             got = update_d(state, xs, h, 0, cfg)
             scale = max(1.0, np.abs(expected).max())
             assert np.abs(got - expected).max() <= 1e-8 * scale
+
+    def test_reads_the_other_views_as_absolute_values(self):
+        # a caller's state may hold a negative D^t: the penalty takes |D^t|,
+        # as solve() does on its own D^t, which its clip keeps nonnegative
+        rng = np.random.default_rng(42)
+        for n_bands, n_h in [(4, 10), (8, 6)]:
+            xs, h, state = random_instance(rng, n_views=3, n_bands=n_bands,
+                                           n_h=n_h)
+            signed = copy.deepcopy(state)
+            for d in signed.d:
+                d *= rng.choice([-1.0, 1.0], size=d.shape)
+            for s in range(3):
+                assert np.array_equal(update_d(signed, xs, h, s,
+                                               SolverConfig()),
+                                      update_d(state, xs, h, s,
+                                               SolverConfig()))
 
     def test_zero_ridge(self):
         # without the ridge the system is mu (H'H + 11'), singular when
@@ -514,6 +531,87 @@ class TestSolve:
         assert_rel_close(result.residual_history, ref.history, 1e-9)
         assert result.w_nonzero_columns == [
             max(len(it[s]) for it in ref.w_support) for s in range(2)]
+
+    @pytest.mark.parametrize("n_views", [2, 3])
+    def test_one_view_with_w_beside_views_without(self, monkeypatch,
+                                                  n_views):
+        # outliers in the first view only, outside range(H): no coefficient
+        # fits them, so W^1 turns nonzero at iteration 2 while the other
+        # views' W^s stay empty, and their passes skip the W bookkeeping
+        monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
+        rng = np.random.default_rng(43)
+        h = rng.standard_normal((8, 6))
+        a = rng.dirichlet(np.ones(6), size=30).T
+        xs = [h @ a + 0.01 * rng.standard_normal((8, 30))
+              for _ in range(n_views)]
+        outliers = rng.standard_normal((8, 4))
+        q = np.linalg.qr(h)[0]
+        xs[0][:, rng.choice(30, 4, replace=False)] += \
+            3.0 * (outliers - q @ (q.T @ outliers))
+        cfg = SolverConfig(lambda1=0.05, mu0=0.2, rho=1.3, max_iter=12)
+        ref = dense_reference_solve(xs, h, cfg)
+        assert [bool(it[0]) for it in ref.w_support[:2]] == [False, True]
+        assert not any(it[s] for it in ref.w_support
+                       for s in range(1, n_views))
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(solver_mod, "_block_workers",
+                                lambda n, size, w=workers: w)
+            results.append(solve(xs, h, cfg))
+        _assert_same_solve(*results)
+        maps = [score_multiview(h, r.state.d, r.state.e, 5, 6).scores
+                for r in results]
+        assert np.array_equal(*maps)
+        got = in_n_h_space(results[0].state)
+        for name in ("c", "j", "y4"):
+            assert_rel_close(getattr(got, name), getattr(ref, name), 1e-9)
+        for s in range(n_views):
+            for name in ("d", "e", "w", "y1"):
+                assert_rel_close(getattr(got, name)[s],
+                                 getattr(ref, name)[s], 1e-9)
+        assert_rel_close(results[0].residual_history, ref.history, 1e-9)
+        assert results[0].w_nonzero_columns[1:] == [0] * (n_views - 1)
+
+    @pytest.mark.parametrize("n_views", [2, 3])
+    def test_pass_a_products_with_n_h_rows(self, monkeypatch, n_views):
+        # r = 5 < n_h = 9: per block and iteration, each view's U z and
+        # U'D^s after its step, then U c; U'D^s before the C step is the
+        # one carried from the last iteration
+        calls = []
+
+        class CountedBasis(np.ndarray):
+            """U, counting the products it takes part in."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    calls.append(ufunc)
+                return getattr(ufunc, method)(*map(np.asarray, inputs),
+                                              **kwargs)
+
+        init = solver_mod._Gram.__init__
+
+        def counted_init(gram, h):
+            init(gram, h)
+            gram.u = gram.basis = gram.u.view(CountedBasis)
+
+        passes = []
+        pass_a = solver_mod._pass_a
+
+        def counted_pass_a(*args):
+            before = len(calls)
+            result = pass_a(*args)
+            passes.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(solver_mod._Gram, "__init__", counted_init)
+        monkeypatch.setattr(solver_mod, "_pass_a", counted_pass_a)
+        monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 6)
+        rng = np.random.default_rng(44)
+        xs = [rng.standard_normal((4, 30)) for _ in range(n_views)]
+        result = solve(xs, rng.standard_normal((4, 9)),
+                       SolverConfig(max_iter=3))
+        assert result.state.basis.shape == (9, 5)
+        assert passes == [2 * n_views + 1] * (3 * 5)
 
     @pytest.mark.parametrize("cfg,svt_runs", [
         (SolverConfig(), False), (ACTIVE_SVT, True),
