@@ -21,7 +21,7 @@ class CovModel:
     ridge: float
 
     def __post_init__(self):
-        if self.ridge < 0:
+        if not self.ridge >= 0:  # NaN fails it
             raise ValueError("ridge must be nonnegative")
 
     @property

@@ -42,6 +42,9 @@ from .evaluate import DETECTOR_PARAMS, SWEEP_PARAMS, SynthSpec, \
     write_roc_csv, write_sweep_csv
 from .sketch import AVERAGE_MODES, _available_cpus
 
+# the BLAS thread variables that the manifest's env block records
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 # synth flag -> SynthSpec field
 _SYNTH_FLAGS = {
     "--height": "height", "--width": "width", "--bands": "bands",
@@ -151,8 +154,7 @@ def _write_manifest(args, argv: list, record: dict, verified: dict) -> None:
         "env": {
             "smsl": __version__, "numpy": np.__version__,
             "python": platform.python_version(), "cpus": _available_cpus(),
-            "thread_vars": {v: os.environ.get(v)
-                            for v in solver._THREAD_VARS},
+            "thread_vars": {v: os.environ.get(v) for v in _THREAD_VARS},
             "blas": _blas_build(),
         },
         **record,
@@ -164,19 +166,12 @@ def _write_manifest(args, argv: list, record: dict, verified: dict) -> None:
 
 def cmd_detect(args) -> dict:
     cfg = _detector_config(args)
-    scores, result = detect_with_result(_load_views(args.cubes), cfg)
+    scores, record = detect_with_result(_load_views(args.cubes), cfg)
     cube.save_scores(scores, args.out)
+    trace = record.pop("trace")
     if args.trace:
-        solver.write_trace_csv(result.trace, args.trace)
-    convergence = {k: getattr(result, k) for k in (
-        "converged", "iterations_run", "svt_iterations", "w_nonzero_columns")}
-    convergence["final_max_residual"] = result.residual_history[-1]
-    # the thread variables alone do not say this: with numpy's BLAS thread
-    # count settable, the solver holds it at one while its blocks run
-    threads = {k: getattr(result, k)
-               for k in ("block_threads", "block_blas_threads")}
-    return {"convergence": convergence, "threads": threads,
-            "timings": result.timings}
+        solver.write_trace_csv(trace, args.trace)
+    return record
 
 
 def cmd_baseline(args) -> dict:

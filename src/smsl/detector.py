@@ -3,14 +3,13 @@ H, solve, then per-pixel residual norms between consecutive views."""
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cube import DetectionMap, ViewSet
 from .sketch import SketchConfig, build_dictionaries, build_dictionary
-from .solver import SolverConfig, solve
+from .solver import _PASSES, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -59,19 +58,39 @@ def detect(views: ViewSet, cfg: DetectorConfig = DetectorConfig()) -> DetectionM
 
 
 def detect_with_result(views: ViewSet, cfg: DetectorConfig):
-    """:func:`detect`, also returning the last SolveResult for convergence
-    reporting, with its timings summed over every solve."""
+    """:func:`detect`, also returning the manifest's record of its solves,
+    each folded in as it ends so that no solve's state outlives its
+    scoring: under `convergence` the number of solves, whether every one
+    converged, and the most iterations, SVT iterations, final max residual
+    and nonzero W^s columns per view of any; the `timings` summed; the
+    `threads` and the `trace` of the last solve."""
     height, width = views.height, views.width
     if cfg.sketch.average_mode == "scores":
         dictionaries = build_dictionaries(views, cfg.sketch)
     else:
         dictionaries = [build_dictionary(views, cfg.sketch)]
     maps = []
-    timings = Counter()
+    conv = {"solves": 0, "converged": True, "iterations_run": 0,
+            "svt_iterations": 0, "final_max_residual": 0.0,
+            "w_nonzero_columns": [0] * views.n_views}
+    record = {"convergence": conv, "timings": dict.fromkeys(_PASSES, 0.0)}
     for h in dictionaries:
         result = solve(views, h, cfg.solver)
-        timings.update(result.timings)
         maps.append(score_multiview(h, result.state.d, result.state.e,
                                     height, width).scores)
-    return (DetectionMap(height, width, np.mean(maps, axis=0)),
-            replace(result, timings=dict(timings)))
+        conv["solves"] += 1
+        conv["converged"] &= result.converged
+        for k, v in (("iterations_run", result.iterations_run),
+                     ("svt_iterations", result.svt_iterations),
+                     ("final_max_residual", result.residual_history[-1])):
+            conv[k] = max(conv[k], v)
+        conv["w_nonzero_columns"] = list(map(max, conv["w_nonzero_columns"],
+                                             result.w_nonzero_columns))
+        for k, seconds in result.timings.items():
+            record["timings"][k] += seconds
+        # the solver's own threads, which the thread variables do not give
+        record["threads"] = {"block_threads": result.block_threads,
+                             "block_blas_threads": result.block_blas_threads}
+        record["trace"] = result.trace
+        del result
+    return DetectionMap(height, width, np.mean(maps, axis=0)), record

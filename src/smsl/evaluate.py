@@ -80,8 +80,8 @@ class SynthSpec:
             raise ValueError("need at least 2 views")
         if self.n_anomalies >= self.height * self.width:
             raise ValueError("n_anomalies must be below the pixel count")
-        if self.n_anomalies < 0 or self.anomaly_magnitude < 0 \
-                or self.noise_sigma < 0:
+        if not (self.n_anomalies >= 0 and self.anomaly_magnitude >= 0
+                and self.noise_sigma >= 0):  # NaN fails each
             raise ValueError("counts and scales must be nonnegative")
         if not 0 <= self.anomaly_view < self.views:
             raise ValueError("anomaly_view out of range")

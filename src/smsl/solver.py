@@ -64,17 +64,16 @@ moves by mu times its gap. So the state is scanned block by block
 ||C + Y4/mu||_F^2 or r1-r3 is not finite after pass A, or r4 is not after
 pass B. The first check runs before J, so a non-finite C is reported as
 such and never reaches the SVT.
-The blocks run on one thread when they are small, else on one thread per
-CPU with numpy's BLAS held at one thread while they run (the J step keeps
-its count), or, when that count cannot be set, on CPUs // BLAS threads
-(see _block_workers). Their results are combined in block order, so the
-bits do not depend on the number of threads.
+The blocks run on the calling thread when they are small or numpy's BLAS
+thread count cannot be set, else on one thread per CPU with that count
+held at one while they run (the J step keeps its count; see
+_block_workers). Their results are combined in block order, so the bits
+do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -106,15 +105,16 @@ class SolverConfig:
     epsilon: float = 1e-5
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
+        # each check written so that NaN fails it
+        if not all(w >= 0 for w in (self.lambda1, self.lambda2, self.lambda3)):
             raise ValueError("lambda weights must be nonnegative")
         if not (0 < self.mu0 <= self.mu_max):
             raise ValueError("need 0 < mu0 <= mu_max")
-        if self.rho < 1:
+        if not self.rho >= 1:
             raise ValueError("rho must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 
 
@@ -277,11 +277,6 @@ class _Gram:
 # pixel columns per block of an iteration: a block's n_h x 512 float64
 # temporaries (2 MB at n_h = 500) stay in cache from one step to the next
 _BLOCK_COLUMNS = 512
-# A small scene is split into _MIN_BLOCKS blocks even so: at L = 16, n_h = 50,
-# N = 1000 and one block thread, 512 + 488 columns took 1.35 ms an iteration
-# against 2.70 ms for 5 x 200 (medians of 6; the state fits a 2 MB L2 cache),
-# but criterion 7's fitted exponent then read 1.31-1.48 (0.99-1.22 with it).
-_MIN_BLOCKS = 5
 # Below this many bytes of L- and n_h-row arrays over all views,
 # 8 width S (2L + n_h), a block runs on the calling thread. Time per
 # iteration of 2 block threads (BLAS held at one) over 1 (BLAS at its 2),
@@ -292,7 +287,6 @@ _MIN_BLOCKS = 5
 #   L = 16, n_h = 500 (default64)                  4.4 MB        0.54-0.75
 #   L = 224, n_h = 200, N = 40000 (sensor)         5.3 MB        0.47-0.52
 _SMALL_BLOCK_BYTES = 1 << 20
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _ALL = slice(None)
 # a column-sparse W, or an E^s term, with no column
 _NO_COLUMNS = (np.zeros(0, dtype=np.intp), None)
@@ -301,10 +295,9 @@ _BLAS_LOCK = threading.Lock()
 
 
 def _column_blocks(n_pixels: int) -> list:
-    """Slices of _BLOCK_COLUMNS columns, or of a _MIN_BLOCKS-th of the
-    columns when that is fewer; the last may be narrower."""
-    width = min(_BLOCK_COLUMNS, -(-n_pixels // _MIN_BLOCKS))
-    return [slice(a, a + width) for a in range(0, n_pixels, width)]
+    """Slices of _BLOCK_COLUMNS columns; the last may be narrower."""
+    return [slice(a, a + _BLOCK_COLUMNS)
+            for a in range(0, n_pixels, _BLOCK_COLUMNS)]
 
 
 # numpy's BLAS thread count: int get(void) and void set(int)
@@ -340,20 +333,14 @@ def _blas_threads() -> _BlasThreads | None:
 
 
 def _block_workers(n_blocks: int, block_bytes: int) -> int:
-    """Threads that run the column blocks, at most one per block: one for a
-    block under _SMALL_BLOCK_BYTES; else the CPUs this process may run on
-    when numpy's BLAS thread count can be set (solve() holds it at one
-    while the blocks run), or else those CPUs divided by the threads each
-    BLAS call takes (the first thread variable that is set; unset means all
-    CPUs)."""
-    if block_bytes < _SMALL_BLOCK_BYTES:
+    """Threads that run the column blocks: one for a block under
+    _SMALL_BLOCK_BYTES, or when numpy's BLAS thread count cannot be set
+    (the blocks then run at the BLAS's own count); else one per CPU this
+    process may run on, at most one per block, with the count held at one
+    while they run (see solve())."""
+    if block_bytes < _SMALL_BLOCK_BYTES or _blas_threads() is None:
         return 1
-    cpus = _available_cpus()
-    if _blas_threads() is None:
-        value = next((v for v in map(os.environ.get, _THREAD_VARS) if v), "")
-        threads = int(value) if value.strip().isdigit() else 0
-        cpus //= threads if threads > 0 else cpus
-    return max(1, min(n_blocks, cpus))
+    return min(n_blocks, _available_cpus())
 
 
 def _q_block(gram, state, x, s, cols) -> np.ndarray:
@@ -599,13 +586,11 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0, gram.basis)
     inv_c = gram.coords_inverse(1.0, n_views)
     blocks = _column_blocks(n_pixels)
-    width = blocks[0].stop - blocks[0].start
-    workers = _block_workers(len(blocks),
-                             8 * width * n_views * (2 * n_bands + n_h))
+    workers = _block_workers(len(blocks), 8 * min(_BLOCK_COLUMNS, n_pixels)
+                             * n_views * (2 * n_bands + n_h))
+    # numpy's BLAS count, held at one while more than one block thread runs
     handle = _blas_threads()
-    # held at one BLAS thread while more than one block thread runs
-    blas = handle if workers > 1 else None
-    blas_threads = 1 if blas else handle and handle.get()
+    blas_threads = 1 if workers > 1 else handle and handle.get()
 
     # each view's coordinates U'D^s, written by its D step and read by the
     # next iteration's C step; with r = n_h they are D^s itself
@@ -618,19 +603,18 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     svt_iterations = 0
     w_nonzero = [0] * n_views
     seconds = np.zeros(3)  # in pass A, the J step and pass B
-    with _BLAS_LOCK if blas else nullcontext(), \
+    with _BLAS_LOCK if workers > 1 else nullcontext(), \
             ThreadPoolExecutor(workers) as pool:
-        mapper = pool.map if workers > 1 else map
 
         def run(fn) -> list:
-            if blas is None:
-                return list(mapper(fn, blocks))
-            count = blas.get()
-            blas.set(1)
+            if workers == 1:
+                return list(map(fn, blocks))
+            count = handle.get()
+            handle.set(1)
             try:
-                return list(mapper(fn, blocks))
+                return list(pool.map(fn, blocks))
             finally:
-                blas.set(count)
+                handle.set(count)
 
         for it in range(1, cfg.max_iter + 1):
             t0 = perf_counter()

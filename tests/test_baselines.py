@@ -130,6 +130,12 @@ class TestCommon:
         with pytest.raises(ValueError):
             rx_difference(ViewSet((c, c, c)))
 
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan")])
+    def test_fit_cov_rejects_a_ridge_below_zero_or_nan(self, ridge):
+        rng = np.random.default_rng(13)
+        with pytest.raises(ValueError, match="ridge"):
+            fit_cov(rng.standard_normal((3, 50)), ridge)
+
     def test_fit_cov_auto_ridge_positive(self):
         rng = np.random.default_rng(13)
         model = fit_cov(rng.standard_normal((3, 50)))

@@ -116,6 +116,15 @@ class TestDetect:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2", "--lambda3",
+                                      "--eps", "--rho", "--mu0", "--mu-max"])
+    def test_nan_parameter_usage_error(self, scene, tmp_path, capsys, flag):
+        code = main(detect_args(scene, str(tmp_path / "s.hdr"))
+                    + [flag, "nan"])
+        assert code == 2
+        assert "smsl: " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_max_iter_zero_rejected(self, scene, tmp_path, capsys):
         code = main(detect_args(scene, str(tmp_path / "s.hdr"))
                     + ["--max-iter", "0"])
@@ -220,21 +229,50 @@ class TestDetect:
                                                 monkeypatch, settable):
         # the block threads and the BLAS count inside them, which the
         # thread variables alone do not give: with numpy's BLAS count
-        # settable, it is one while more than one block thread runs
+        # settable, it is one while more than one block thread runs; without
+        # it, the blocks run on the calling thread whatever the variables
         handle = solver._blas_threads()
         if settable and handle is None:
             pytest.skip("numpy's BLAS thread count cannot be set")
+        monkeypatch.setattr(solver, "_BLOCK_COLUMNS", 32)  # 4 blocks
         monkeypatch.setattr(solver, "_SMALL_BLOCK_BYTES", 0)
         monkeypatch.setattr(solver, "_available_cpus", lambda: 2)
         monkeypatch.setattr(solver, "_blas_threads",
                             lambda: handle if settable else None)
-        for var in solver._THREAD_VARS:
+        for var in cli._THREAD_VARS:
             monkeypatch.setenv(var, "1")
         out = str(tmp_path / "scores.hdr")
         assert main(detect_args(scene, out)) == 0
         manifest = json.loads(Path(out + ".manifest.json").read_text())
-        assert manifest["threads"] == {
-            "block_threads": 2, "block_blas_threads": 1 if settable else None}
+        assert manifest["threads"] == (
+            {"block_threads": 2, "block_blas_threads": 1} if settable
+            else {"block_threads": 1, "block_blas_threads": None})
+
+    def test_manifest_records_every_solve(self, scene, tmp_path,
+                                          monkeypatch):
+        # under score averaging, convergence covers both solves: the most
+        # iterations and the largest final residual of either
+        solves = []
+
+        def recorded(*args, **kwargs):
+            result = solver.solve(*args, **kwargs)
+            solves.append(result)
+            return result
+
+        monkeypatch.setattr(detector, "solve", recorded)
+        out = str(tmp_path / "scores.hdr")
+        assert main(detect_args(scene, out, ["--sketch-average", "scores",
+                                             "--max-iter", "4"])) == 0
+        convergence = json.loads(
+            Path(out + ".manifest.json").read_text())["convergence"]
+        finals = [r.residual_history[-1] for r in solves]
+        assert len(solves) == 2 and finals[0] != finals[1]
+        assert convergence["solves"] == 2
+        assert convergence["final_max_residual"] == max(finals)
+        assert convergence["iterations_run"] == 4
+        assert convergence["converged"] is False
+        assert convergence["w_nonzero_columns"] == [
+            max(r.w_nonzero_columns[s] for r in solves) for s in range(2)]
 
     def test_manifest_records_the_solve_timings(self, scene, tmp_path,
                                                 monkeypatch):
@@ -389,6 +427,13 @@ class TestBaseline:
         assert code == 2
         assert "ridge must be nonnegative" in capsys.readouterr().err
 
+    def test_nan_ridge_usage_error(self, scene, tmp_path, capsys):
+        code = main(["baseline", *scene["cubes"], "--method", "rx",
+                     "--ridge", "nan", "--out", str(tmp_path / "x.hdr")])
+        assert code == 2
+        assert "ridge must be nonnegative" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_method(self, scene, tmp_path, capsys):
         code = main(["baseline", *scene["cubes"], "--method", "kernel",
                      "--out", str(tmp_path / "x.hdr")])
@@ -461,6 +506,14 @@ class TestSynth:
             "mask.pgm", "view_1.hdr", "view_1.raw", "view_2.hdr",
             "view_2.raw"]
         assert main(["rerun", str(out_dir / "manifest.json")]) == 0
+
+    @pytest.mark.parametrize("flag", ["--magnitude", "--noise"])
+    def test_nan_scale_exit_2(self, tmp_path, capsys, flag):
+        code = main(["synth", "--out-dir", str(tmp_path / "s"),
+                     "--height", "12", "--width", "12", flag, "nan"])
+        assert code == 2
+        assert "nonnegative" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_infeasible_spec_exit_2(self, tmp_path, capsys):
         code = main(["synth", "--out-dir", str(tmp_path / "s"),
@@ -564,7 +617,7 @@ def test_manifest_records_the_run(scene, tmp_path, monkeypatch, capsys,
     assert env == {
         "smsl": smsl.__version__, "numpy": np.__version__,
         "python": sys.version.split()[0],
-        "thread_vars": {v: os.environ.get(v) for v in solver._THREAD_VARS},
+        "thread_vars": {v: os.environ.get(v) for v in cli._THREAD_VARS},
         "blas": {k: blas[k] for k in ("name", "version")},
         "cpus": env["cpus"]}
     assert env["thread_vars"]["MKL_NUM_THREADS"] == "1"

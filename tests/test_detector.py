@@ -1,8 +1,10 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from smsl import detector as detector_mod
 from smsl import solver as solver_mod
 from smsl.cube import HyperCube, ViewSet, load_cube, save_cube
 from smsl.detector import (DetectorConfig, detect, detect_with_result,
@@ -192,9 +194,32 @@ class TestDetect:
     def test_detect_with_result_reports_convergence_fields(self):
         views, _ = synth_scene(SynthSpec(height=6, width=6, bands=6,
                                          n_anomalies=2, seed=9))
-        m, result = detect_with_result(views, small_cfg(n_h=10))
-        assert result.iterations_run >= 1
-        assert len(result.residual_history) == result.iterations_run
+        m, record = detect_with_result(views, small_cfg(n_h=10))
+        convergence = record["convergence"]
+        assert convergence["solves"] == 1
+        assert convergence["iterations_run"] >= 1
+        assert len(record["trace"]) == convergence["iterations_run"]
+        assert convergence["final_max_residual"] == \
+            max(record["trace"][-1][1:5])
+
+    def test_no_solve_state_outlives_its_scoring(self, monkeypatch):
+        # under score averaging each solve starts after the state of the
+        # one before it is freed, so a detect holds one state at a time
+        states = []
+
+        def recorded(*args):
+            assert all(ref() is None for ref in states)
+            result = solver_mod.solve(*args)
+            states.append(weakref.ref(result.state))
+            return result
+
+        monkeypatch.setattr(detector_mod, "solve", recorded)
+        views, _ = synth_scene(SynthSpec(height=6, width=6, bands=6,
+                                         n_anomalies=2, seed=9))
+        record = detect_with_result(views, small_cfg(
+            n_h=10, repeats=3, average_mode="scores"))[1]
+        assert len(states) == record["convergence"]["solves"] == 3
+        assert states[-1]() is None
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -209,6 +234,14 @@ def test_storage_precision_does_not_change_the_map(
     monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 64)
     monkeypatch.setattr(solver_mod, "_block_workers",
                         lambda n, size: workers)
+    traces = []
+
+    def recorded(*args):
+        result = solver_mod.solve(*args)
+        traces.append(result.trace)
+        return result
+
+    monkeypatch.setattr(detector_mod, "solve", recorded)
     scene, _ = synth_scene(SynthSpec(height=16, width=20, bands=12,
                                      views=n_views, n_anomalies=6, seed=4))
     paths = [str(tmp_path / f"view_{s}.hdr") for s in range(n_views)]
@@ -222,11 +255,13 @@ def test_storage_precision_does_not_change_the_map(
         sketch=SketchConfig(n_h=n_h, seed=2, repeats=3,
                             average_mode=average_mode),
         solver=SolverConfig(max_iter=8))
-    got, got_result = detect_with_result(loaded, cfg)
-    want, want_result = detect_with_result(wide, cfg)
+    got = detect_with_result(loaded, cfg)[0]
+    want = detect_with_result(wide, cfg)[0]
     assert loaded.stacked.dtype == np.float32
     assert np.array_equal(got.scores, want.scores)
-    assert got_result.trace == want_result.trace
+    solves = 3 if average_mode == "scores" else 1
+    assert len(traces) == 2 * solves
+    assert traces[:solves] == traces[solves:]
 
 
 @pytest.mark.parametrize("n_views,average_mode,n_h", [
@@ -235,7 +270,7 @@ def test_storage_precision_does_not_change_the_map(
 def test_map_does_not_depend_on_the_blas_handle(monkeypatch, n_views,
                                                 average_mode, n_h):
     # blocks of 64 columns on every CPU with numpy's BLAS held at one
-    # thread, or with the handle gone, on the thread variables' rule
+    # thread, or with the handle gone, on the calling thread
     monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 64)
     monkeypatch.setattr(solver_mod, "_SMALL_BLOCK_BYTES", 0)
     views, _ = synth_scene(SynthSpec(height=16, width=20, bands=12,
@@ -248,7 +283,8 @@ def test_map_does_not_depend_on_the_blas_handle(monkeypatch, n_views,
     for handle in (solver_mod._blas_threads(), None):
         monkeypatch.setattr(solver_mod, "_blas_threads", lambda: handle)
         runs.append(detect_with_result(views, cfg))
-    (got, got_result), (want, want_result) = runs
+    (got, got_record), (want, want_record) = runs
     assert np.array_equal(got.scores, want.scores)
-    assert got_result.trace == want_result.trace
-    assert want_result.block_blas_threads is None
+    assert got_record["trace"] == want_record["trace"]
+    assert want_record["threads"] == {"block_threads": 1,
+                                      "block_blas_threads": None}

@@ -129,6 +129,11 @@ class TestSynthScene:
         with pytest.raises(ValueError):
             SynthSpec(views=1)
 
+    @pytest.mark.parametrize("name", ["anomaly_magnitude", "noise_sigma"])
+    def test_nan_scale_rejected(self, name):
+        with pytest.raises(ValueError):
+            SynthSpec(**{name: float("nan")})
+
 
 def tiny_cfg():
     return DetectorConfig(sketch=SketchConfig(n_h=10, seed=0, repeats=1),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import smsl.solver as solver_mod
+from smsl.cli import _THREAD_VARS
 from smsl.solver import (SolverConfig, SolverError, init_state, solve,
                          update_c, update_d, update_e)
 from smsl.detector import score_multiview
@@ -98,6 +99,16 @@ class TestConfig:
             SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(lambda1=-1.0)
+
+    @pytest.mark.parametrize("name", [
+        "lambda1", "lambda2", "lambda3", "mu0", "mu_max", "rho", "epsilon"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError):
+            SolverConfig(**{name: float("nan")})
+
+    def test_meaningful_inf_accepted(self):
+        # lambda1 = inf keeps J at zero; mu_max = inf puts no cap on mu
+        SolverConfig(lambda1=float("inf"), mu_max=float("inf"))
 
 
 class TestUpdateC:
@@ -659,27 +670,27 @@ class TestSolve:
                     assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n_pixels,widths", [
-        (30, [6] * 5), (1000, [200] * 5), (2600, [512] * 5 + [40]),
+        (30, [30]), (1000, [512, 488]), (2600, [512] * 5 + [40]),
     ])
     def test_column_blocks(self, n_pixels, widths):
-        # at most 512 columns and at most a fifth of them, the last ragged
+        # 512 columns each, the last ragged
         blocks = solver_mod._column_blocks(n_pixels)
         assert [len(range(n_pixels)[b]) for b in blocks] == widths
 
-    @pytest.mark.parametrize("env,workers", [
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
-        ({"OMP_NUM_THREADS": "2"}, 2),
-        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
-        ({"MKL_NUM_THREADS": "4"}, 1),
-        ({}, 1),
+    @pytest.mark.parametrize("env", [
+        {"OPENBLAS_NUM_THREADS": "1"},
+        {"OMP_NUM_THREADS": "2"},
+        {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"},
+        {"MKL_NUM_THREADS": "4"},
+        {},
     ], ids=["one_thread", "two_threads", "first_set_wins", "all_cpus",
             "unset"])
-    def test_block_workers_rule(self, monkeypatch, env, workers):
+    def test_block_workers_rule(self, monkeypatch, env):
         # 4 CPUs, at most one worker per block. A small block runs on one;
-        # with numpy's BLAS count settable every CPU runs one, whatever the
-        # variables; without, the CPUs over the BLAS threads of each
+        # with numpy's BLAS count settable every CPU runs one, without it
+        # the calling thread; no thread variable changes either
         monkeypatch.setattr(solver_mod, "_available_cpus", lambda: 4)
-        for var in solver_mod._THREAD_VARS:
+        for var in _THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
@@ -688,8 +699,8 @@ class TestSolve:
         for handle in (FakeBlas(2), None):
             monkeypatch.setattr(solver_mod, "_blas_threads", lambda: handle)
             assert rule(100, big - 1) == 1
-            assert rule(100, big) == (4 if handle else workers)
-            assert rule(3, big) == (3 if handle else min(3, workers))
+            assert rule(100, big) == (4 if handle else 1)
+            assert rule(3, big) == (3 if handle else 1)
 
     def test_traced_names_stay_on_the_calling_thread(self, monkeypatch):
         # the benchmark's span recorder keeps one stack per process, so the
@@ -972,7 +983,7 @@ class TestBlasThreads:
 
 
 def test_bits_do_not_depend_on_the_blas_handle(monkeypatch):
-    # the rule itself: every CPU with the handle, the thread variables
+    # the rule itself: every CPU with the handle, the calling thread
     # without it
     monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
     monkeypatch.setattr(solver_mod, "_SMALL_BLOCK_BYTES", 0)
@@ -981,4 +992,5 @@ def test_bits_do_not_depend_on_the_blas_handle(monkeypatch):
         monkeypatch.setattr(solver_mod, "_blas_threads", lambda: handle)
         results.append(solve(*_instance(39), ACTIVE_SVT))
     _assert_same_solve(*results)
-    assert results[1].block_blas_threads is None
+    assert (results[1].block_threads, results[1].block_blas_threads) == \
+        (1, None)
