@@ -166,11 +166,17 @@ def _write_manifest(args, argv: list, record: dict, verified: dict) -> None:
 
 def cmd_detect(args) -> dict:
     cfg = _detector_config(args)
-    scores, record = detect_with_result(_load_views(args.cubes), cfg)
+    start = time.perf_counter()
+    views = _load_views(args.cubes)
+    load_s = time.perf_counter() - start
+    scores, record = detect_with_result(views, cfg)
+    start = time.perf_counter()
     cube.save_scores(scores, args.out)
     trace = record.pop("trace")
     if args.trace:
         solver.write_trace_csv(trace, args.trace)
+    record["timings"].update(load_s=load_s,
+                             save_s=time.perf_counter() - start)
     return record
 
 

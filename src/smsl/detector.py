@@ -4,11 +4,13 @@ H, solve, then per-pixel residual norms between consecutive views."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
 from .cube import DetectionMap, ViewSet
-from .sketch import SketchConfig, build_dictionaries, build_dictionary
+from .sketch import SketchConfig, _one_blas_thread, build_dictionaries, \
+    build_dictionary
 from .solver import _PASSES, SolverConfig, solve
 
 
@@ -26,7 +28,9 @@ _SCORE_COLUMNS = 512
 def score_multiview(h, d: list, e: list, height: int, width: int) -> DetectionMap:
     """Sum over consecutive views (s, s+1) of the per-pixel pair score
     ||H(D^{s+1} - D^s)|| + ||E^{s+1} - E^s||, with H the L x n_h
-    dictionary array, over blocks of at most _SCORE_COLUMNS pixels."""
+    dictionary array, over blocks of at most _SCORE_COLUMNS pixels, with
+    numpy's BLAS held at one thread: the bits of h @ (D^{s+1} - D^s) moved
+    with its thread count."""
     if len(d) < 2 or len(e) != len(d):
         raise ValueError("need coefficient/noise matrices for >= 2 views")
     h = np.asarray(h)
@@ -41,12 +45,13 @@ def score_multiview(h, d: list, e: list, height: int, width: int) -> DetectionMa
     if any(x.shape != e[0].shape or x.shape[1] != n_pixels for x in e):
         raise ValueError("noise matrices must match the coefficient shape")
     total = np.zeros(n_pixels)
-    for a in range(0, n_pixels, _SCORE_COLUMNS):
-        cols = slice(a, a + _SCORE_COLUMNS)
-        for d1, d2, e1, e2 in zip(d, d[1:], e, e[1:]):
-            total[cols] += (
-                np.linalg.norm(h @ (d2[:, cols] - d1[:, cols]), axis=0)
-                + np.linalg.norm(e2[:, cols] - e1[:, cols], axis=0))
+    with _one_blas_thread():
+        for a in range(0, n_pixels, _SCORE_COLUMNS):
+            cols = slice(a, a + _SCORE_COLUMNS)
+            for d1, d2, e1, e2 in zip(d, d[1:], e, e[1:]):
+                total[cols] += (
+                    np.linalg.norm(h @ (d2[:, cols] - d1[:, cols]), axis=0)
+                    + np.linalg.norm(e2[:, cols] - e1[:, cols], axis=0))
     return DetectionMap(height, width, total)
 
 
@@ -62,9 +67,11 @@ def detect_with_result(views: ViewSet, cfg: DetectorConfig):
     each folded in as it ends so that no solve's state outlives its
     scoring: under `convergence` the number of solves, whether every one
     converged, and the most iterations, SVT iterations, final max residual
-    and nonzero W^s columns per view of any; the `timings` summed; the
+    and nonzero W^s columns per view of any; under `timings` the seconds of
+    the sketch, of each solve's passes (summed) and of the scoring; the
     `threads` and the `trace` of the last solve."""
     height, width = views.height, views.width
+    start = perf_counter()
     if cfg.sketch.average_mode == "scores":
         dictionaries = build_dictionaries(views, cfg.sketch)
     else:
@@ -73,11 +80,15 @@ def detect_with_result(views: ViewSet, cfg: DetectorConfig):
     conv = {"solves": 0, "converged": True, "iterations_run": 0,
             "svt_iterations": 0, "final_max_residual": 0.0,
             "w_nonzero_columns": [0] * views.n_views}
-    record = {"convergence": conv, "timings": dict.fromkeys(_PASSES, 0.0)}
+    timings = dict.fromkeys(_PASSES, 0.0)
+    timings.update(sketch_s=perf_counter() - start, score_s=0.0)
+    record = {"convergence": conv, "timings": timings}
     for h in dictionaries:
         result = solve(views, h, cfg.solver)
+        start = perf_counter()
         maps.append(score_multiview(h, result.state.d, result.state.e,
                                     height, width).scores)
+        timings["score_s"] += perf_counter() - start
         conv["solves"] += 1
         conv["converged"] &= result.converged
         for k, v in (("iterations_run", result.iterations_run),
@@ -87,10 +98,14 @@ def detect_with_result(views: ViewSet, cfg: DetectorConfig):
         conv["w_nonzero_columns"] = list(map(max, conv["w_nonzero_columns"],
                                              result.w_nonzero_columns))
         for k, seconds in result.timings.items():
-            record["timings"][k] += seconds
+            timings[k] += seconds
         # the solver's own threads, which the thread variables do not give
         record["threads"] = {"block_threads": result.block_threads,
-                             "block_blas_threads": result.block_blas_threads}
+                             "block_blas_threads": result.block_blas_threads,
+                             "block_columns": result.block_columns}
         record["trace"] = result.trace
         del result
-    return DetectionMap(height, width, np.mean(maps, axis=0)), record
+    start = perf_counter()
+    scores = np.mean(maps, axis=0)
+    timings["score_s"] += perf_counter() - start
+    return DetectionMap(height, width, scores), record

@@ -12,14 +12,20 @@ blocks of 2 MB, the repeats of a block are drawn in parallel (one thread
 per repeat, at most one per available CPU), and the blocks are summed over
 the repeats in a fixed order, so the dictionary has the same bits whatever
 the number of cores. Averaged dictionaries take one product X mean_j(R_j)
-instead of one per repeat.
+instead of one per repeat. That product runs with numpy's BLAS held at one
+thread (_one_blas_thread), since its bits depend on the BLAS's thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -66,6 +72,57 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# numpy's BLAS thread count: int get(void) and void set(int)
+_BlasThreads = namedtuple("_BlasThreads", "get set")
+# numpy's BLAS thread count is process-wide: one holder at a time sets it
+_BLAS_LOCK = threading.RLock()
+
+
+@cache
+def _blas_threads() -> _BlasThreads | None:
+    """numpy's own OpenBLAS thread-count functions, or None on another
+    BLAS. Symbols are looked up through numpy's extension module, whose
+    handle searches only it and its dependencies, so a second OpenBLAS in
+    the process (scipy ships one) is never the one found."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                           ("openblas_", "")):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        # C ints whatever the BLAS's integer interface
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return _BlasThreads(get, set_)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's BLAS at one thread, under _BLAS_LOCK, and give it back
+    its count on the way out; a no-op where the count cannot be set."""
+    handle = _blas_threads()
+    if handle is None:
+        yield
+        return
+    with _BLAS_LOCK:
+        count = handle.get()
+        handle.set(1)
+        try:
+            yield
+        finally:
+            handle.set(count)
+
+
 def _draw_workers(repeats: int) -> int:
     """Threads that draw the per-repeat blocks: one per repeat, at most one
     per CPU this process may run on."""
@@ -88,7 +145,8 @@ def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
     threads of a multi-threaded BLAS competing with the draws for the cores.
     A float32 X is widened to float64 one panel's column slab at a time,
     inside the product; the widening is exact, so the dictionary has the
-    bits of a float64 X with the same values.
+    bits of a float64 X with the same values. The product runs on one BLAS
+    thread: at 16 x 8192 by 8192 x 500 its bits moved with the count.
     """
     stacked = views.stacked
     n = stacked.shape[1]
@@ -122,8 +180,9 @@ def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
                 blk /= scale
                 if average:
                     blk /= repeats
-            for j in range(n_out):
-                out[j] += stacked[:, p0:p0 + pk] @ panel[j, :pk]
+            with _one_blas_thread():
+                for j in range(n_out):
+                    out[j] += stacked[:, p0:p0 + pk] @ panel[j, :pk]
     return out
 
 

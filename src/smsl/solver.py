@@ -46,8 +46,8 @@ l2,1 prox keeps whole columns or none), so W_k and W_{k-1} are held as
 sorted column indices plus the L x m values of those columns.
 
 Every step but J acts on each pixel column alone (ADMM split across
-examples), so an iteration is one kernel over blocks of at most
-_BLOCK_COLUMNS pixel columns. Pass A takes a block through C and each D^s,
+examples), so an iteration is one kernel over blocks of pixel columns
+(_column_blocks). Pass A takes a block through C and each D^s,
 then per view E^s, the ascent on Y1^s and Y2^s, and W^s; the coordinates
 of q_s = H'(X^s - E^s + Y1^s/mu) feed both the C and the D^s steps, and
 the fit both E^s and the data-fit gap. A view whose W_k and W_{k-1} hold
@@ -64,29 +64,32 @@ moves by mu times its gap. So the state is scanned block by block
 ||C + Y4/mu||_F^2 or r1-r3 is not finite after pass A, or r4 is not after
 pass B. The first check runs before J, so a non-finite C is reported as
 such and never reaches the SVT.
-The blocks run on the calling thread when they are small or numpy's BLAS
-thread count cannot be set, else on one thread per CPU with that count
-held at one while they run (the J step keeps its count; see
-_block_workers). Their results are combined in block order, so the bits
-do not depend on the number of threads.
+The blocks run on the calling thread, _BLOCK_COLUMNS wide, when they are
+small or numpy's BLAS thread count cannot be set; else on one thread per
+CPU with that count held at one while they run (the J step keeps its
+count), and widened to up to _THREAD_BLOCK_BYTES (see _block_plan).
+Their results are combined in block order, ||C + Y4/mu||_F^2 is summed
+over pieces of _BLOCK_COLUMNS columns, and a ragged rest of columns is a
+block of its own at any width, so each product gives a column the bits it
+gets on one thread and the bits do not depend on the number of threads
+(OpenBLAS rounds a column alike in products of any multiple of
+_BLOCK_COLUMNS columns; the tests pin this).
 """
 
 from __future__ import annotations
 
-import ctypes
-import threading
-from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from time import perf_counter
 
 import numpy as np
 
 from .cube import ViewSet
 from .prox import _SV_CUTOFF, l21_columns, svt
-from .sketch import _available_cpus
+from .sketch import _BLAS_LOCK, _available_cpus, _blas_threads, \
+    _one_blas_thread
 
 
 class SolverError(RuntimeError):
@@ -158,6 +161,9 @@ class SolveResult:
     block_threads: int  # threads that ran the column blocks
     # numpy's BLAS thread count while they ran; None when it cannot be read
     block_blas_threads: int | None
+    # pixel columns per block; the last whole blocks and a ragged rest of
+    # fewer than _BLOCK_COLUMNS may span fewer
+    block_columns: int
     # wall seconds on the calling thread per part of an iteration (_PASSES),
     # summed over the iterations
     timings: dict
@@ -278,69 +284,67 @@ class _Gram:
 # temporaries (2 MB at n_h = 500) stay in cache from one step to the next
 _BLOCK_COLUMNS = 512
 # Below this many bytes of L- and n_h-row arrays over all views,
-# 8 width S (2L + n_h), a block runs on the calling thread. Time per
-# iteration of 2 block threads (BLAS held at one) over 1 (BLAS at its 2),
-# 2 vCPUs, no thread variable set, two measurements each:
+# 8 width S (2L + n_h), a block of _BLOCK_COLUMNS runs on the calling
+# thread. Time per iteration of 2 block threads (BLAS held at one) over 1
+# (BLAS at its 2), 2 vCPUs, no thread variable set, blocks of 512 columns,
+# two measurements each:
 #   L = 16, n_h = 50, N = 1000-8000 (criterion 7)  0.26-0.67 MB  1.5-7.7
 #   L = 32, n_h = 100, S = 2                       1.34 MB       0.76
 #   L = 32, n_h = 100, S = 3 (drift3)              2.0 MB        0.62-0.74
 #   L = 16, n_h = 500 (default64)                  4.4 MB        0.54-0.75
 #   L = 224, n_h = 200, N = 40000 (sensor)         5.3 MB        0.47-0.52
 _SMALL_BLOCK_BYTES = 1 << 20
+# Threaded blocks span k _BLOCK_COLUMNS columns, as many as fit in this
+# many bytes (k >= 1), so that blocks from 1 to 4 MiB widen. A 12-iteration
+# drift3 solve (N = 4096) took, 2 vCPUs, one thread against two:
+#   blocks of 512 columns (2.0 MB)    0.338 s  0.304 s
+#   blocks of 2048 columns (8.1 MB)   0.360 s  0.211 s
+# A 4 MiB budget (1024 columns) took about 8% off a drift3 detect, 8 MiB
+# about 20%. Blocks on one thread stay at _BLOCK_COLUMNS: at 4 times the
+# width, an iteration at criterion 7's N = 4000 took 10.2-12.5 ms against
+# 6.7-9.2 ms.
+_THREAD_BLOCK_BYTES = 8 << 20
 _ALL = slice(None)
 # a column-sparse W, or an E^s term, with no column
 _NO_COLUMNS = (np.zeros(0, dtype=np.intp), None)
-# numpy's BLAS thread count is process-wide: one solve at a time holds it
-_BLAS_LOCK = threading.Lock()
 
 
-def _column_blocks(n_pixels: int) -> list:
-    """Slices of _BLOCK_COLUMNS columns; the last may be narrower."""
-    return [slice(a, a + _BLOCK_COLUMNS)
-            for a in range(0, n_pixels, _BLOCK_COLUMNS)]
-
-
-# numpy's BLAS thread count: int get(void) and void set(int)
-_BlasThreads = namedtuple("_BlasThreads", "get set")
-
-
-@cache
-def _blas_threads() -> _BlasThreads | None:
-    """numpy's own OpenBLAS thread-count functions, or None on another
-    BLAS. Symbols are looked up through numpy's extension module, whose
-    handle searches only it and its dependencies, so a second OpenBLAS in
-    the process (scipy ships one) is never the one found."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    try:
-        lib = ctypes.CDLL(umath.__file__)
-    except OSError:
-        return None
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
-                           ("openblas_", "")):
-        try:
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
-            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
-        except AttributeError:
-            continue
-        # C ints whatever the BLAS's integer interface
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return _BlasThreads(get, set_)
-    return None
+def _column_blocks(n_pixels: int, k: int = 1) -> list:
+    """Slices of k _BLOCK_COLUMNS columns, cut where blocks of
+    _BLOCK_COLUMNS are: the last whole ones may span fewer, and a ragged
+    rest narrower than _BLOCK_COLUMNS is a block of its own, as with k = 1.
+    A product over a block then gives each column the bits it gets at
+    k = 1: OpenBLAS rounds a ragged rest differently inside a wider one."""
+    whole = n_pixels - n_pixels % _BLOCK_COLUMNS
+    cuts = [*range(0, whole, k * _BLOCK_COLUMNS), whole, n_pixels]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def _block_workers(n_blocks: int, block_bytes: int) -> int:
-    """Threads that run the column blocks: one for a block under
-    _SMALL_BLOCK_BYTES, or when numpy's BLAS thread count cannot be set
-    (the blocks then run at the BLAS's own count); else one per CPU this
-    process may run on, at most one per block, with the count held at one
-    while they run (see solve())."""
+    """Threads that run n_blocks column blocks of block_bytes each: one for
+    a block under _SMALL_BLOCK_BYTES, or when numpy's BLAS thread count
+    cannot be set (the blocks then run at the BLAS's own count); else one
+    per CPU this process may run on, at most one per block, with the count
+    held at one while they run (see solve())."""
     if block_bytes < _SMALL_BLOCK_BYTES or _blas_threads() is None:
         return 1
     return min(n_blocks, _available_cpus())
+
+
+def _block_plan(n_pixels: int, column_bytes: int) -> tuple:
+    """(k, threads): the column blocks of an iteration are
+    _column_blocks(n_pixels, k), with column_bytes of L- and n_h-row
+    arrays per column. The threads are _block_workers' for blocks of
+    _BLOCK_COLUMNS; on one, k = 1. On more, the blocks widen to
+    _THREAD_BLOCK_BYTES, while a scene with at least as many blocks of
+    _BLOCK_COLUMNS as threads keeps as many blocks as threads."""
+    workers = _block_workers(len(_column_blocks(n_pixels)),
+                             column_bytes * min(_BLOCK_COLUMNS, n_pixels))
+    if workers == 1:
+        return 1, 1
+    k = max(1, min(_THREAD_BLOCK_BYTES // (column_bytes * _BLOCK_COLUMNS),
+                   n_pixels // _BLOCK_COLUMNS // workers))
+    return k, min(workers, len(_column_blocks(n_pixels, k)))
 
 
 def _q_block(gram, state, x, s, cols) -> np.ndarray:
@@ -475,8 +479,10 @@ def _pass_a(xs, gram, inv_c, inv_d, state, dcs, w_old, ratio, lambda3,
     later steps of a view write, so this is the Gauss-Seidel order. dcs
     holds each view's coordinates U'D^s as last updated, and each D step
     writes its view's; w_old holds each W_{k-1} as (column indices,
-    values) and ratio is mu_k/mu. Returns (||C + Y4/mu||_F^2, r1, r2, r3,
-    max |C|, the next W^s of each view as block-local (indices, values))."""
+    values) and ratio is mu_k/mu. Returns (||C + Y4/mu||_F^2 per piece of
+    _BLOCK_COLUMNS columns, r1, r2, r3, max |C|, the next W^s of each view
+    as block-local (indices, values)); the pieces keep the sums, and so
+    the J step, the same whatever the block width."""
     mu = state.mu
     qs = [_q_block(gram, state, x, s, cols) for s, x in enumerate(xs)]
     ds = [dc[:, cols] for dc in dcs]
@@ -509,7 +515,9 @@ def _pass_a(xs, gram, inv_c, inv_d, state, dcs, w_old, ratio, lambda3,
     m = state.y4[:, cols] / mu
     m += coords
     c_max = _max_abs(_expand(state.basis, coords))
-    return (float(np.vdot(m, m)), *r, c_max, w_new)
+    pieces = (m[:, a:a + _BLOCK_COLUMNS]
+              for a in range(0, m.shape[1], _BLOCK_COLUMNS))
+    return ([float(np.vdot(p, p)) for p in pieces], *r, c_max, w_new)
 
 
 def _join_blocks(blocks, parts) -> tuple:
@@ -585,9 +593,8 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     gram = _Gram(h)
     state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0, gram.basis)
     inv_c = gram.coords_inverse(1.0, n_views)
-    blocks = _column_blocks(n_pixels)
-    workers = _block_workers(len(blocks), 8 * min(_BLOCK_COLUMNS, n_pixels)
-                             * n_views * (2 * n_bands + n_h))
+    k, workers = _block_plan(n_pixels, 8 * n_views * (2 * n_bands + n_h))
+    blocks = _column_blocks(n_pixels, k)
     # numpy's BLAS count, held at one while more than one block thread runs
     handle = _blas_threads()
     blas_threads = 1 if workers > 1 else handle and handle.get()
@@ -603,18 +610,16 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     svt_iterations = 0
     w_nonzero = [0] * n_views
     seconds = np.zeros(3)  # in pass A, the J step and pass B
+    # the lock across the passes: the J steps of concurrent solves keep the
+    # count that _one_blas_thread gives back
     with _BLAS_LOCK if workers > 1 else nullcontext(), \
             ThreadPoolExecutor(workers) as pool:
 
         def run(fn) -> list:
             if workers == 1:
                 return list(map(fn, blocks))
-            count = handle.get()
-            handle.set(1)
-            try:
+            with _one_blas_thread():
                 return list(pool.map(fn, blocks))
-            finally:
-                handle.set(count)
 
         for it in range(1, cfg.max_iter + 1):
             t0 = perf_counter()
@@ -628,7 +633,7 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
             w_nonzero = [max(n, len(i))
                          for n, i in zip(w_nonzero, state.w_cols)]
             # block sums are combined in block order, whatever the workers
-            m2 = sum(p[0] for p in parts)
+            m2 = sum(piece for p in parts for piece in p[0])
             r = np.max([p[1:4] for p in parts], axis=0)
             if not (np.isfinite(m2) and np.isfinite(r).all()):
                 _check_finite(state, it)
@@ -659,6 +664,7 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     return SolveResult(state=state, converged=converged, trace=trace,
                        svt_iterations=svt_iterations,
                        w_nonzero_columns=w_nonzero, block_threads=workers,
+                       block_columns=k * _BLOCK_COLUMNS,
                        block_blas_threads=blas_threads,
                        timings=dict(zip(_PASSES, seconds.tolist())))
 

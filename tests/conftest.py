@@ -1,0 +1,15 @@
+import pytest
+
+from smsl.sketch import _blas_threads
+
+
+@pytest.fixture(autouse=True)
+def restore_blas_threads():
+    """numpy's BLAS thread count after each test as before it, so that a
+    test that sets it through the handle leaks neither the count nor the
+    bits and timings that follow from it."""
+    handle = _blas_threads()
+    count = handle and handle.get()
+    yield
+    if handle is not None:
+        handle.set(count)

@@ -227,14 +227,15 @@ class TestDetect:
     @pytest.mark.parametrize("settable", [True, False])
     def test_manifest_records_the_solve_threads(self, scene, tmp_path,
                                                 monkeypatch, settable):
-        # the block threads and the BLAS count inside them, which the
-        # thread variables alone do not give: with numpy's BLAS count
-        # settable, it is one while more than one block thread runs; without
-        # it, the blocks run on the calling thread whatever the variables
+        # the block threads, the BLAS count inside them and the block width,
+        # which the thread variables alone do not give: with numpy's BLAS
+        # count settable, it is one while more than one block thread runs,
+        # on blocks widened to 48 columns (48, 48 and 4); without it, the
+        # blocks run on the calling thread whatever the variables
         handle = solver._blas_threads()
         if settable and handle is None:
             pytest.skip("numpy's BLAS thread count cannot be set")
-        monkeypatch.setattr(solver, "_BLOCK_COLUMNS", 32)  # 4 blocks
+        monkeypatch.setattr(solver, "_BLOCK_COLUMNS", 16)  # 7 blocks
         monkeypatch.setattr(solver, "_SMALL_BLOCK_BYTES", 0)
         monkeypatch.setattr(solver, "_available_cpus", lambda: 2)
         monkeypatch.setattr(solver, "_blas_threads",
@@ -245,8 +246,10 @@ class TestDetect:
         assert main(detect_args(scene, out)) == 0
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["threads"] == (
-            {"block_threads": 2, "block_blas_threads": 1} if settable
-            else {"block_threads": 1, "block_blas_threads": None})
+            {"block_threads": 2, "block_blas_threads": 1, "block_columns": 48}
+            if settable else
+            {"block_threads": 1, "block_blas_threads": None,
+             "block_columns": 16})
 
     def test_manifest_records_every_solve(self, scene, tmp_path,
                                           monkeypatch):
@@ -277,8 +280,9 @@ class TestDetect:
     def test_manifest_records_the_solve_timings(self, scene, tmp_path,
                                                 monkeypatch):
         # seconds on the calling thread in pass A, the J step and pass B,
-        # summed over every solve (two when the maps are averaged); they
-        # enter no file that rerun compares
+        # summed over every solve (two when the maps are averaged), beside
+        # those of the load, the sketch, the scoring and the save, all
+        # within the wall time; they enter no file that rerun compares
         solves = []
 
         def recorded(*args, **kwargs):
@@ -295,13 +299,39 @@ class TestDetect:
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         timings = manifest["timings"]
         assert len(solves) == 2
-        assert sorted(timings) == ["j_step_s", "pass_a_s", "pass_b_s"]
-        for name, seconds in timings.items():
-            assert seconds == solves[0][name] + solves[1][name]
-            assert seconds >= 0
-        assert 0 < sum(timings.values()) < manifest["wall_time_s"]
+        assert sorted(timings) == ["j_step_s", "load_s", "pass_a_s",
+                                   "pass_b_s", "save_s", "score_s",
+                                   "sketch_s"]
+        for name in solver._PASSES:
+            assert timings[name] == solves[0][name] + solves[1][name]
+        assert all(seconds >= 0 for seconds in timings.values())
+        assert 0 < sum(timings.values()) <= manifest["wall_time_s"]
         assert main(["rerun", out + ".manifest.json"]) == 0
         assert len(solves) == 4
+
+    def test_rerun_at_another_blas_thread_count(self, tmp_path):
+        # the default synth scene, whose 16 x 500 dictionary moved with the
+        # BLAS thread count of the sketch's product: a detect run on one
+        # BLAS thread replays at the count OpenBLAS picks for itself
+        assert main(["synth", "--out-dir", str(tmp_path)]) == 0
+        out = str(tmp_path / "scores.hdr")
+        env = {k: v for k, v in os.environ.items()
+               if k not in cli._THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(smsl.__file__).parents[1])
+
+        def smsl_cli(*argv, **threads):
+            return subprocess.run(
+                [sys.executable, "-m", "smsl.cli", *argv],
+                env={**env, **threads}, capture_output=True, text=True)
+
+        run = smsl_cli("detect", str(tmp_path / "view_1.hdr"),
+                       str(tmp_path / "view_2.hdr"), "--out", out,
+                       "--max-iter", "4", "--trace",
+                       str(tmp_path / "trace.csv"),
+                       OPENBLAS_NUM_THREADS="1")
+        assert run.returncode == 0, run.stderr
+        replay = smsl_cli("rerun", out + ".manifest.json")
+        assert replay.returncode == 0, replay.stderr
 
     def test_rerun_replays_beside_the_originals(self, scene, tmp_path):
         out = str(tmp_path / "scores.hdr")

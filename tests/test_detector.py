@@ -269,22 +269,28 @@ def test_storage_precision_does_not_change_the_map(
 ])
 def test_map_does_not_depend_on_the_blas_handle(monkeypatch, n_views,
                                                 average_mode, n_h):
-    # blocks of 64 columns on every CPU with numpy's BLAS held at one
-    # thread, or with the handle gone, on the calling thread
+    # blocks widened to 128 columns (128, 128 and 64) on both CPUs with
+    # numpy's BLAS held at one thread, or with the handle gone, blocks of 64
+    # on the calling thread
     monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 64)
     monkeypatch.setattr(solver_mod, "_SMALL_BLOCK_BYTES", 0)
+    monkeypatch.setattr(solver_mod, "_available_cpus", lambda: 2)
     views, _ = synth_scene(SynthSpec(height=16, width=20, bands=12,
                                      views=n_views, n_anomalies=6, seed=5))
     cfg = DetectorConfig(
         sketch=SketchConfig(n_h=n_h, seed=3, repeats=3,
                             average_mode=average_mode),
         solver=SolverConfig(max_iter=8))
+    handles = (solver_mod._blas_threads(), None)
     runs = []
-    for handle in (solver_mod._blas_threads(), None):
+    for handle in handles:
         monkeypatch.setattr(solver_mod, "_blas_threads", lambda: handle)
         runs.append(detect_with_result(views, cfg))
     (got, got_record), (want, want_record) = runs
     assert np.array_equal(got.scores, want.scores)
     assert got_record["trace"] == want_record["trace"]
+    assert got_record["threads"]["block_columns"] == \
+        (128 if handles[0] else 64)
     assert want_record["threads"] == {"block_threads": 1,
-                                      "block_blas_threads": None}
+                                      "block_blas_threads": None,
+                                      "block_columns": 64}

@@ -3,6 +3,7 @@ import pytest
 
 from smsl import sketch
 from smsl.cube import HyperCube, ViewSet
+from smsl.evaluate import SynthSpec, synth_scene
 from smsl.sketch import (SketchConfig, build_dictionaries, build_dictionary,
                          repeat_seed)
 
@@ -106,11 +107,13 @@ def test_averaged_dictionary_variance_shrinks():
 
 
 def _old_products(vs, cfg):
-    """X R_j for every repeat, one full jlt_matrix draw each."""
+    """X R_j for every repeat, one full jlt_matrix draw each, on one BLAS
+    thread as the sketch's own product."""
     stacked = np.hstack(vs.matrices())
-    return [stacked @ jlt_matrix(stacked.shape[1], cfg.n_h,
-                                 repeat_seed(cfg.seed, j))
-            for j in range(cfg.repeats)]
+    with sketch._one_blas_thread():
+        return [stacked @ jlt_matrix(stacked.shape[1], cfg.n_h,
+                                     repeat_seed(cfg.seed, j))
+                for j in range(cfg.repeats)]
 
 
 def _max_rel(a, b):
@@ -166,6 +169,20 @@ class TestStreamedBuild:
             monkeypatch.setattr(sketch, "_draw_workers", lambda r, w=workers: w)
             results.append(sketch._sketch(vs, cfg, average))
         assert all(np.array_equal(r, results[0]) for r in results[1:])
+
+    def test_bit_identical_for_any_blas_thread_count(self):
+        # the default synth scene's 16 x 500 dictionary, whose product's
+        # bits moved with numpy's BLAS thread count before it was held
+        handle = sketch._blas_threads()
+        if handle is None:
+            pytest.skip("numpy's BLAS thread count cannot be set")
+        views, _ = synth_scene(SynthSpec())
+        results = []
+        for count in (1, 2):
+            handle.set(count)
+            results.append(build_dictionary(views, SketchConfig()))
+            assert handle.get() == count
+        assert np.array_equal(*results)
 
     def test_draw_workers_bounded_by_repeats(self):
         assert sketch._draw_workers(1) == 1

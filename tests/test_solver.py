@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import smsl.solver as solver_mod
+from smsl import sketch
 from smsl.cli import _THREAD_VARS
 from smsl.solver import (SolverConfig, SolverError, init_state, solve,
                          update_c, update_d, update_e)
@@ -497,6 +498,8 @@ class TestSolve:
         xs = [rng.standard_normal((n_bands, 30)) for _ in range(n_views)]
         h = rng.standard_normal((n_bands, n_h))
         result = solve(xs, h, cfg)
+        # two threads widen the blocks to 12 columns: 12, 12, 4 and 2
+        assert result.block_columns == (512 if block is None else 12)
         # with n_h > L+1, C, J and Y4 are held as r x N coordinates
         assert (result.state.basis is None) == (n_h <= n_bands + 1)
         got = in_n_h_space(result.state)
@@ -513,9 +516,11 @@ class TestSolve:
 
     def test_sparse_w_matches_dense_reference(self, monkeypatch):
         # a few outlier columns on a well-fit scene: W^s is nonzero on some
-        # blocks of 4 columns and zero on others, and a column of the first
-        # view turns nonzero and then zero again, so E^s reads W_{k-1}
+        # blocks of 4 columns and zero on others (no budget to widen them
+        # on two threads), and a column of the first view turns nonzero and
+        # then zero again, so E^s reads W_{k-1}
         monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
+        monkeypatch.setattr(solver_mod, "_THREAD_BLOCK_BYTES", 0)
         monkeypatch.setattr(solver_mod, "_block_workers",
                             lambda n, size: 2)
         rng = np.random.default_rng(4)
@@ -529,6 +534,7 @@ class TestSolve:
         ref = dense_reference_solve(xs, h, ACTIVE_SVT)
         support = [it[0] for it in ref.w_support]
         assert any(prev - cur for prev, cur in zip(support, support[1:]))
+        assert result.block_columns == 4
         blocks_hit = {col // 4 for col in set().union(*support)}
         assert 0 < len(blocks_hit) < 8
         got = in_n_h_space(result.state)
@@ -569,6 +575,7 @@ class TestSolve:
             monkeypatch.setattr(solver_mod, "_block_workers",
                                 lambda n, size, w=workers: w)
             results.append(solve(xs, h, cfg))
+        assert [r.block_columns for r in results] == [4, 12]
         _assert_same_solve(*results)
         maps = [score_multiview(h, r.state.d, r.state.e, 5, 6).scores
                 for r in results]
@@ -647,8 +654,9 @@ class TestSolve:
     @pytest.mark.parametrize("cfg", [SolverConfig(max_iter=12), ACTIVE_SVT],
                              ids=["defaults", "active_svt"])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, cfg):
-        # 30 columns in blocks of 4 (the last has 2): the partial sums are
-        # combined in block order, whatever the number of workers
+        # 30 columns in blocks of 4 (the last has 2) on one thread, of 12 on
+        # two and of 8 on three: the partial sums are combined in block
+        # order, whatever the number of workers and the width
         monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
         rng = np.random.default_rng(32)
         xs = [rng.standard_normal((4, 30)) for _ in range(3)]
@@ -658,6 +666,7 @@ class TestSolve:
             monkeypatch.setattr(solver_mod, "_block_workers",
                                 lambda n, size, w=workers: w)
             results.append(solve(xs, h, cfg))
+        assert [r.block_columns for r in results] == [4, 12, 8]
         first = results[0]
         for res in results[1:]:
             assert res.trace == first.trace
@@ -675,6 +684,16 @@ class TestSolve:
     def test_column_blocks(self, n_pixels, widths):
         # 512 columns each, the last ragged
         blocks = solver_mod._column_blocks(n_pixels)
+        assert [len(range(n_pixels)[b]) for b in blocks] == widths
+
+    @pytest.mark.parametrize("n_pixels,widths", [
+        (4096, [2048, 2048]), (4100, [2048, 2048, 4]),
+        (3000, [2048, 512, 440]), (300, [300]),
+    ])
+    def test_wide_column_blocks(self, n_pixels, widths):
+        # 4 x 512 columns each; the last whole ones may span fewer, and a
+        # ragged rest is a block of its own
+        blocks = solver_mod._column_blocks(n_pixels, 4)
         assert [len(range(n_pixels)[b]) for b in blocks] == widths
 
     @pytest.mark.parametrize("env", [
@@ -702,6 +721,60 @@ class TestSolve:
             assert rule(100, big) == (4 if handle else 1)
             assert rule(3, big) == (3 if handle else 1)
 
+    @pytest.mark.parametrize("shape,plan", [
+        ((32, 100, 3, 4096), (2048, 2)),  # drift3: 2.0 MB at 512 columns
+        ((16, 500, 2, 4096), (512, 2)),  # default64: 4.4 MB
+        ((224, 200, 2, 40000), (512, 2)),  # sensor: 5.3 MB
+        ((16, 50, 2, 4000), (512, 1)),  # criterion 7: 0.67 MB
+        ((32, 100, 3, 1000), (512, 2)),  # fewer whole blocks than CPUs
+        ((32, 100, 3, 5124), (2048, 2)),  # 2048, 2048, 1024 and 4
+    ], ids=["drift3", "default64", "sensor", "criterion_7", "few_blocks",
+            "ragged"])
+    def test_block_plan(self, monkeypatch, shape, plan):
+        # 2 CPUs: threaded blocks widen to at most 8 MiB and to no fewer
+        # blocks than threads; blocks on one thread stay at 512 columns, as
+        # do all blocks where numpy's BLAS count cannot be set
+        n_bands, n_h, n_views, n_pixels = shape
+        monkeypatch.setattr(solver_mod, "_available_cpus", lambda: 2)
+        column_bytes = 8 * n_views * (2 * n_bands + n_h)
+        for handle, want in ((FakeBlas(2), plan), (None, (512, 1))):
+            monkeypatch.setattr(solver_mod, "_blas_threads", lambda: handle)
+            k, workers = solver_mod._block_plan(n_pixels, column_bytes)
+            assert (k * solver_mod._BLOCK_COLUMNS, workers) == want
+            assert len(solver_mod._column_blocks(n_pixels, k)) >= workers
+
+    def test_wide_blocks_keep_the_bits_of_narrow_ones(self, monkeypatch):
+        # drift3's shape with a ragged rest of 4 columns: two threads run
+        # blocks of 2048, 2048, 1024 and 4 columns, one thread blocks of 512
+        # and 4; the products give each column the same bits (a rest of 4
+        # inside a block of 1028 would not), and the J step
+        # reads the same sums of ||C + Y4/mu||_F^2 over 512-column pieces.
+        # numpy's BLAS is held at one thread on the calling thread too,
+        # since OpenBLAS splits a long dot product over its threads
+        rng = np.random.default_rng(45)
+        xs = [rng.standard_normal((32, 5124)) for _ in range(3)]
+        h = rng.standard_normal((32, 100))
+        pass_a = solver_mod._pass_a
+        results, sums = [], []
+        for workers in (1, 2):
+            seen = []
+
+            def recorded(*args, seen=seen):
+                parts = pass_a(*args)
+                seen.append(parts[0])
+                return parts
+
+            monkeypatch.setattr(solver_mod, "_block_workers",
+                                lambda n, size, w=workers: w)
+            monkeypatch.setattr(solver_mod, "_pass_a", recorded)
+            with sketch._one_blas_thread():
+                results.append(solve(xs, h, SolverConfig(max_iter=3)))
+            sums.append([p for block in seen for p in block])
+        assert [r.block_columns for r in results] == [512, 2048]
+        assert len(sums[0]) == len(sums[1]) == 3 * 11
+        assert sorted(sums[0]) == sorted(sums[1])
+        _assert_same_solve(*results)
+
     def test_traced_names_stay_on_the_calling_thread(self, monkeypatch):
         # the benchmark's span recorder keeps one stack per process, so the
         # solver names it wraps (perfbench/tracing.py) must not run on a
@@ -720,7 +793,8 @@ class TestSolve:
             monkeypatch.setattr(solver_mod, name, record)
         rng = np.random.default_rng(33)
         xs = [rng.standard_normal((4, 30)) for _ in range(2)]
-        solve(xs, rng.standard_normal((4, 9)), ACTIVE_SVT)
+        result = solve(xs, rng.standard_normal((4, 9)), ACTIVE_SVT)
+        assert result.block_columns == 8  # 8, 8, 8, 4 and 2 columns
         assert threads  # the SVT ran
         assert set(threads) == {threading.main_thread()}
 
@@ -898,7 +972,8 @@ def _assert_same_solve(a, b):
 class TestBlasThreads:
     @pytest.fixture(autouse=True)
     def two_block_threads(self, monkeypatch):
-        # 30 columns in blocks of 4, on two block threads
+        # 30 columns in blocks of 4, on two block threads, which widen them
+        # to 12 (12, 12, 4 and 2 columns)
         monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
         monkeypatch.setattr(solver_mod, "_block_workers",
                             lambda n, size: 2)
@@ -921,7 +996,8 @@ class TestBlasThreads:
         assert threading.main_thread() not in {t for t, _ in in_blocks}
         assert in_j and {count for _, count in in_j} == {2}
         assert blas.get() == 2
-        assert (result.block_threads, result.block_blas_threads) == (2, 1)
+        assert (result.block_threads, result.block_blas_threads,
+                result.block_columns) == (2, 1, 12)
 
     @pytest.mark.parametrize("in_block", [False, True],
                              ids=["non_finite_c", "raised_in_block"])
@@ -977,20 +1053,25 @@ class TestBlasThreads:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for got, want in zip(results, serial):
+            assert got.block_columns == want.block_columns == 12
             _assert_same_solve(got, want)
         assert in_j and set(in_j) == {2}
         assert blas.get() == 2
 
 
 def test_bits_do_not_depend_on_the_blas_handle(monkeypatch):
-    # the rule itself: every CPU with the handle, the calling thread
-    # without it
+    # the rule itself: both CPUs with the handle, on blocks widened to 12
+    # columns, the calling thread without it, on blocks of 4
     monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 4)
     monkeypatch.setattr(solver_mod, "_SMALL_BLOCK_BYTES", 0)
+    monkeypatch.setattr(solver_mod, "_available_cpus", lambda: 2)
+    handles = (solver_mod._blas_threads(), None)
     results = []
-    for handle in (solver_mod._blas_threads(), None):
+    for handle in handles:
         monkeypatch.setattr(solver_mod, "_blas_threads", lambda: handle)
         results.append(solve(*_instance(39), ACTIVE_SVT))
     _assert_same_solve(*results)
+    assert [r.block_columns for r in results] == \
+        [12 if handles[0] else 4, 4]
     assert (results[1].block_threads, results[1].block_blas_threads) == \
         (1, None)
