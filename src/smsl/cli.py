@@ -10,10 +10,12 @@ numpy links, the BLAS thread variables and the CPUs the process may run
 on). `smsl rerun MANIFEST`
 checks the input checksums (exit 1 on a mismatch), replays the recorded
 command into a temporary directory and compares the sha256 of each output
-with the recorded one: exit 1 naming the first file that differs, and the
-max relative deviation of the replayed score map when that file belongs to
-one. The original outputs are left as they are. A manifest that is not a
-JSON object recording `argv`, `outputs`, `input_sha256` and `output_sha256`,
+with the recorded one: exit 1 naming the first file that differs, the max
+relative deviation of the replayed score map when that file belongs to
+one, and each `env` field (a thread variable, the BLAS build, the CPUs or
+a version) whose replayed value differs from the recorded one. The
+original outputs are left as they are. A manifest that is not a JSON
+object recording `argv`, `outputs`, `input_sha256` and `output_sha256`,
 whose `argv` does not parse, or that records a rerun is not replayed: exit
 1 naming it.
 
@@ -285,6 +287,24 @@ def _map_deviation(path: str, outputs: list, replay_dir: str) -> str:
     return f" (max relative deviation of the map: {dev:.3g})"
 
 
+def _env_changes(recorded, replayed: dict) -> str:
+    """The fields of the env block, each thread variable on its own, whose
+    replayed value differs from the recorded one, with both values, phrased
+    for the mismatch message; '' when none does."""
+    def fields(env) -> dict:
+        env = env if isinstance(env, dict) else {}
+        threads = env.get("thread_vars")
+        return {**{k: v for k, v in env.items() if k != "thread_vars"},
+                **(threads if isinstance(threads, dict) else {})}
+
+    old, new = fields(recorded), fields(replayed)
+    changes = [f"{k} {json.dumps(old.get(k))} -> {json.dumps(new.get(k))}"
+               for k in sorted(old.keys() | new.keys())
+               if old.get(k) != new.get(k)]
+    return ("; env fields that differ, recorded -> replay: "
+            + ", ".join(changes)) if changes else ""
+
+
 # what rerun needs of a manifest: key -> (container of strings, what it is)
 _REPLAYED = {"argv": (list, "command line"), "outputs": (list, "output files"),
              "input_sha256": (dict, "input checksums"),
@@ -344,13 +364,15 @@ def cmd_rerun(args) -> int:
         if code != 0:
             return code
         with open(_replay_path(args.manifest, tmp), encoding="ascii") as fh:
-            replayed = json.load(fh)["output_sha256"]
+            replay = json.load(fh)
+        replayed = replay["output_sha256"]
         for path in sorted(expected):
             if replayed.get(_replay_path(path, tmp)) != expected[path]:
                 raise cube.FormatError(
                     f"{path}: the replay's sha256 differs from the one "
                     f"recorded in {args.manifest}"
-                    + _map_deviation(path, manifest["outputs"], tmp))
+                    + _map_deviation(path, manifest["outputs"], tmp)
+                    + _env_changes(manifest.get("env"), replay["env"]))
     return 0
 
 

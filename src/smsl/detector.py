@@ -68,8 +68,8 @@ def detect_with_result(views: ViewSet, cfg: DetectorConfig):
     scoring: under `convergence` the number of solves, whether every one
     converged, and the most iterations, SVT iterations, final max residual
     and nonzero W^s columns per view of any; under `timings` the seconds of
-    the sketch, of each solve's passes (summed) and of the scoring; the
-    `threads` and the `trace` of the last solve."""
+    the sketch, of each solve's passes and the rest of it (each summed)
+    and of the scoring; the `threads` and the `trace` of the last solve."""
     height, width = views.height, views.width
     start = perf_counter()
     if cfg.sketch.average_mode == "scores":
@@ -101,7 +101,6 @@ def detect_with_result(views: ViewSet, cfg: DetectorConfig):
             timings[k] += seconds
         # the solver's own threads, which the thread variables do not give
         record["threads"] = {"block_threads": result.block_threads,
-                             "block_blas_threads": result.block_blas_threads,
                              "block_columns": result.block_columns}
         record["trace"] = result.trace
         del result

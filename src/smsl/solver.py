@@ -55,7 +55,8 @@ no column has no W term, and pass A skips its W bookkeeping. J feeds none
 of these steps, so the calling thread decides it after pass A, from the
 block sums of ||C + Y4/mu||_F^2; pass B then takes the C-J gap (while J is
 zero, pass A's max |C|) and the ascent on Y4. SolveResult.timings holds
-the seconds of pass A, the J step and pass B on the calling thread.
+the seconds of pass A, the J step and pass B on the calling thread, and
+of the rest of the solve.
 The residuals double as the finiteness check. The column-sum gap r3 sees
 every entry of C (or of its coordinates) and of each D^s (D >= 0), the
 E-W gap r2 sees E^s and W^s, the C-J gap r4 sees J, and each multiplier
@@ -64,22 +65,22 @@ moves by mu times its gap. So the state is scanned block by block
 ||C + Y4/mu||_F^2 or r1-r3 is not finite after pass A, or r4 is not after
 pass B. The first check runs before J, so a non-finite C is reported as
 such and never reaches the SVT.
-The blocks run on the calling thread, _BLOCK_COLUMNS wide, when they are
-small or numpy's BLAS thread count cannot be set; else on one thread per
-CPU with that count held at one while they run (the J step keeps its
-count), and widened to up to _THREAD_BLOCK_BYTES (see _block_plan).
-Their results are combined in block order, ||C + Y4/mu||_F^2 is summed
-over pieces of _BLOCK_COLUMNS columns, and a ragged rest of columns is a
-block of its own at any width, so each product gives a column the bits it
-gets on one thread and the bits do not depend on the number of threads
-(OpenBLAS rounds a column alike in products of any multiple of
-_BLOCK_COLUMNS columns; the tests pin this).
+solve() holds numpy's BLAS at one thread (sketch._one_blas_thread) from
+the Gram SVD to its last pass, the J step's SVT included, so no product's
+bits depend on the BLAS's thread count. The blocks run on the calling
+thread, _BLOCK_COLUMNS wide, when they are small or that count cannot be
+set; else on one thread per CPU, widened to up to _THREAD_BLOCK_BYTES (see
+_block_plan). Their results are combined in block order,
+||C + Y4/mu||_F^2 is summed over pieces of _BLOCK_COLUMNS columns, and a
+ragged rest of columns is a block of its own at any width, so each product
+gives a column the bits it gets on one thread and the bits do not depend
+on the number of threads (OpenBLAS rounds a column alike in products of
+any multiple of _BLOCK_COLUMNS columns; the tests pin this).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
@@ -88,8 +89,7 @@ import numpy as np
 
 from .cube import ViewSet
 from .prox import _SV_CUTOFF, l21_columns, svt
-from .sketch import _BLAS_LOCK, _available_cpus, _blas_threads, \
-    _one_blas_thread
+from .sketch import _available_cpus, _blas_threads, _one_blas_thread
 
 
 class SolverError(RuntimeError):
@@ -147,8 +147,10 @@ class SolverState:
     y3: list = field(default_factory=list)
 
 
-# the parts of an iteration that SolveResult.timings times
-_PASSES = ("pass_a_s", "j_step_s", "pass_b_s")
+# the parts of a solve that SolveResult.timings times: pass A, the J step and
+# pass B of every iteration, and the rest (the Gram SVD, the zero state and
+# the block pool's start and stop)
+_PASSES = ("pass_a_s", "j_step_s", "pass_b_s", "solve_rest_s")
 
 
 @dataclass(frozen=True)
@@ -159,13 +161,11 @@ class SolveResult:
     svt_iterations: int  # iterations after which J was nonzero
     w_nonzero_columns: list  # per view, the most nonzero W^s columns held
     block_threads: int  # threads that ran the column blocks
-    # numpy's BLAS thread count while they ran; None when it cannot be read
-    block_blas_threads: int | None
     # pixel columns per block; the last whole blocks and a ragged rest of
     # fewer than _BLOCK_COLUMNS may span fewer
     block_columns: int
-    # wall seconds on the calling thread per part of an iteration (_PASSES),
-    # summed over the iterations
+    # wall seconds on the calling thread per part of the solve (_PASSES),
+    # each pass summed over the iterations
     timings: dict
 
     @property
@@ -324,8 +324,8 @@ def _block_workers(n_blocks: int, block_bytes: int) -> int:
     """Threads that run n_blocks column blocks of block_bytes each: one for
     a block under _SMALL_BLOCK_BYTES, or when numpy's BLAS thread count
     cannot be set (the blocks then run at the BLAS's own count); else one
-    per CPU this process may run on, at most one per block, with the count
-    held at one while they run (see solve())."""
+    per CPU this process may run on, at most one per block (solve() holds
+    the count at one)."""
     if block_bytes < _SMALL_BLOCK_BYTES or _blas_threads() is None:
         return 1
     return min(n_blocks, _available_cpus())
@@ -590,43 +590,35 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
         raise ValueError(f"dictionary has {h.shape[0]} bands, views have "
                          f"{n_bands}")
 
-    gram = _Gram(h)
-    state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0, gram.basis)
-    inv_c = gram.coords_inverse(1.0, n_views)
+    start = perf_counter()
     k, workers = _block_plan(n_pixels, 8 * n_views * (2 * n_bands + n_h))
     blocks = _column_blocks(n_pixels, k)
-    # numpy's BLAS count, held at one while more than one block thread runs
-    handle = _blas_threads()
-    blas_threads = 1 if workers > 1 else handle and handle.get()
-
-    # each view's coordinates U'D^s, written by its D step and read by the
-    # next iteration's C step; with r = n_h they are D^s itself
-    dcs = state.d if gram.basis is None else [np.zeros(state.c.shape)
-                                              for _ in xs]
-    # W_{k-1} per view as (column indices, values), and its mu_k
-    w_old, mu_old = list(zip(state.w_cols, state.w)), state.mu
-    converged = False
-    trace = []
-    svt_iterations = 0
-    w_nonzero = [0] * n_views
-    seconds = np.zeros(3)  # in pass A, the J step and pass B
-    # the lock across the passes: the J steps of concurrent solves keep the
-    # count that _one_blas_thread gives back
-    with _BLAS_LOCK if workers > 1 else nullcontext(), \
-            ThreadPoolExecutor(workers) as pool:
-
-        def run(fn) -> list:
-            if workers == 1:
-                return list(map(fn, blocks))
-            with _one_blas_thread():
-                return list(pool.map(fn, blocks))
-
+    seconds = np.zeros(len(_PASSES))
+    # numpy's BLAS at one thread from the Gram SVD to the last pass, so that
+    # no product's bits depend on its thread count
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        gram = _Gram(h)
+        state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0,
+                           gram.basis)
+        inv_c = gram.coords_inverse(1.0, n_views)
+        # each view's coordinates U'D^s, written by its D step and read by
+        # the next iteration's C step; with r = n_h they are D^s itself
+        dcs = state.d if gram.basis is None else [np.zeros(state.c.shape)
+                                                  for _ in xs]
+        # W_{k-1} per view as (column indices, values), and its mu_k
+        w_old, mu_old = list(zip(state.w_cols, state.w)), state.mu
+        converged = False
+        trace = []
+        svt_iterations = 0
+        w_nonzero = [0] * n_views
+        run = pool.map if workers > 1 else map
         for it in range(1, cfg.max_iter + 1):
             t0 = perf_counter()
             mu = state.mu
             inv_d = gram.inverse(cfg.lambda2, mu)
-            parts = run(partial(_pass_a, xs, gram, inv_c, inv_d, state, dcs,
-                                w_old, mu_old / mu, cfg.lambda3))
+            parts = list(run(partial(_pass_a, xs, gram, inv_c, inv_d, state,
+                                     dcs, w_old, mu_old / mu, cfg.lambda3),
+                             blocks))
             w_old, mu_old = list(zip(state.w_cols, state.w)), mu
             state.w_cols, state.w = _join_blocks(blocks,
                                                  [p[5] for p in parts])
@@ -649,8 +641,8 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
                 state.j = svt(state.c + state.y4 / mu, tau)
                 svt_iterations += bool(state.j.any())
             t2 = perf_counter()
-            gaps = run(partial(_cj_block, state, j_zero=j_zero))
-            seconds += (t1 - t0, t2 - t1, perf_counter() - t2)
+            gaps = list(run(partial(_cj_block, state, j_zero=j_zero), blocks))
+            seconds[:3] += (t1 - t0, t2 - t1, perf_counter() - t2)
             r4 = float(np.max([p[4] for p in parts] if j_zero else gaps))
             if not np.isfinite(r4):
                 _check_finite(state, it)
@@ -660,12 +652,12 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
             if max(r) < cfg.epsilon:
                 converged = True
                 break
+    seconds[3] = perf_counter() - start - seconds.sum()
 
     return SolveResult(state=state, converged=converged, trace=trace,
                        svt_iterations=svt_iterations,
                        w_nonzero_columns=w_nonzero, block_threads=workers,
                        block_columns=k * _BLOCK_COLUMNS,
-                       block_blas_threads=blas_threads,
                        timings=dict(zip(_PASSES, seconds.tolist())))
 
 

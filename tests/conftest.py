@@ -13,3 +13,14 @@ def restore_blas_threads():
     yield
     if handle is not None:
         handle.set(count)
+
+
+@pytest.fixture
+def blas():
+    """numpy's own BLAS thread-count handle, at 2 threads for the test;
+    the test is skipped where the count cannot be set."""
+    handle = _blas_threads()
+    if handle is None:
+        pytest.skip("numpy's BLAS thread count cannot be set")
+    handle.set(2)
+    return handle

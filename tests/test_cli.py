@@ -227,11 +227,11 @@ class TestDetect:
     @pytest.mark.parametrize("settable", [True, False])
     def test_manifest_records_the_solve_threads(self, scene, tmp_path,
                                                 monkeypatch, settable):
-        # the block threads, the BLAS count inside them and the block width,
-        # which the thread variables alone do not give: with numpy's BLAS
-        # count settable, it is one while more than one block thread runs,
-        # on blocks widened to 48 columns (48, 48 and 4); without it, the
-        # blocks run on the calling thread whatever the variables
+        # the block threads and the block width, which the thread
+        # variables alone do not give: with numpy's BLAS count settable,
+        # two block threads run blocks widened to 48 columns (48, 48 and
+        # 4); without it, the blocks run on the calling thread whatever
+        # the variables
         handle = solver._blas_threads()
         if settable and handle is None:
             pytest.skip("numpy's BLAS thread count cannot be set")
@@ -246,10 +246,8 @@ class TestDetect:
         assert main(detect_args(scene, out)) == 0
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["threads"] == (
-            {"block_threads": 2, "block_blas_threads": 1, "block_columns": 48}
-            if settable else
-            {"block_threads": 1, "block_blas_threads": None,
-             "block_columns": 16})
+            {"block_threads": 2, "block_columns": 48} if settable else
+            {"block_threads": 1, "block_columns": 16})
 
     def test_manifest_records_every_solve(self, scene, tmp_path,
                                           monkeypatch):
@@ -279,8 +277,9 @@ class TestDetect:
 
     def test_manifest_records_the_solve_timings(self, scene, tmp_path,
                                                 monkeypatch):
-        # seconds on the calling thread in pass A, the J step and pass B,
-        # summed over every solve (two when the maps are averaged), beside
+        # seconds on the calling thread in pass A, the J step, pass B and
+        # the rest of the solve, summed over every solve (two when the maps
+        # are averaged), beside
         # those of the load, the sketch, the scoring and the save, all
         # within the wall time; they enter no file that rerun compares
         solves = []
@@ -301,7 +300,7 @@ class TestDetect:
         assert len(solves) == 2
         assert sorted(timings) == ["j_step_s", "load_s", "pass_a_s",
                                    "pass_b_s", "save_s", "score_s",
-                                   "sketch_s"]
+                                   "sketch_s", "solve_rest_s"]
         for name in solver._PASSES:
             assert timings[name] == solves[0][name] + solves[1][name]
         assert all(seconds >= 0 for seconds in timings.values())
@@ -309,11 +308,15 @@ class TestDetect:
         assert main(["rerun", out + ".manifest.json"]) == 0
         assert len(solves) == 4
 
-    def test_rerun_at_another_blas_thread_count(self, tmp_path):
-        # the default synth scene, whose 16 x 500 dictionary moved with the
-        # BLAS thread count of the sketch's product: a detect run on one
-        # BLAS thread replays at the count OpenBLAS picks for itself
-        assert main(["synth", "--out-dir", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("synth", [
+        [], ["--height", "16", "--width", "16", "--bands", "224"],
+    ], ids=["default", "bands_224"])
+    def test_rerun_at_another_blas_thread_count(self, tmp_path, synth):
+        # a detect run on one BLAS thread replays at the count OpenBLAS
+        # picks for itself: on the default synth scene, the bits of the
+        # sketch's 16 x 500 product moved with the count, and on the
+        # 224-band one those of the solver's Gram SVD of [H', 1]
+        assert main(["synth", "--out-dir", str(tmp_path), *synth]) == 0
         out = str(tmp_path / "scores.hdr")
         env = {k: v for k, v in os.environ.items()
                if k not in cli._THREAD_VARS}
@@ -363,6 +366,28 @@ class TestDetect:
         err = capsys.readouterr().err
         assert f"{payload}: the replay's sha256 differs" in err
         assert payload.read_bytes() == bytes(changed)
+
+    def test_rerun_names_the_env_fields_that_differ(self, scene, tmp_path,
+                                                    capsys):
+        # a recorded digest that the replay does not reproduce, from a run
+        # on another number of CPUs: the message names the field and gives
+        # both values
+        out = str(tmp_path / "scores.hdr")
+        assert main(detect_args(scene, out)) == 0
+        payload = str(tmp_path / "scores.raw")
+        manifest_path = Path(out + ".manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        cpus = manifest["env"]["cpus"]
+        manifest["env"]["cpus"] = cpus + 1
+        manifest["output_sha256"][payload] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(manifest_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{payload}: the replay's sha256 differs" in err
+        assert err.rstrip().endswith(
+            "; env fields that differ, recorded -> replay: "
+            f"cpus {cpus + 1} -> {cpus}")
 
     def test_rerun_reports_the_map_deviation(self, scene, tmp_path, capsys):
         # a recorded map one score away from what the replay writes: the

@@ -292,5 +292,4 @@ def test_map_does_not_depend_on_the_blas_handle(monkeypatch, n_views,
     assert got_record["threads"]["block_columns"] == \
         (128 if handles[0] else 64)
     assert want_record["threads"] == {"block_threads": 1,
-                                      "block_blas_threads": None,
                                       "block_columns": 64}

@@ -30,18 +30,6 @@ class FakeBlas:
         self.count = count
 
 
-@pytest.fixture
-def blas():
-    """numpy's own BLAS thread-count handle, at 2 threads for the test."""
-    handle = solver_mod._blas_threads()
-    if handle is None:
-        pytest.skip("numpy's BLAS thread count cannot be set")
-    count = handle.get()
-    handle.set(2)
-    yield handle
-    handle.set(count)
-
-
 def random_instance(rng, n_views=2, n_bands=4, n_pixels=6, n_h=3, mu=0.37,
                     scale=1.0):
     xs = [rng.standard_normal((n_bands, n_pixels)) * scale
@@ -979,8 +967,8 @@ class TestBlasThreads:
                             lambda n, size: 2)
 
     def test_one_blas_thread_in_blocks_only(self, monkeypatch, blas):
-        # the blocks run with numpy's BLAS at one thread, the J step's SVT
-        # with its own count, which is back after the solve
+        # the blocks and the J step's SVT run with numpy's BLAS at one
+        # thread, and its count is back after the solve
         in_blocks, in_j = [], []
         for name, seen in (("_pass_a", in_blocks), ("_cj_block", in_blocks),
                            ("svt", in_j)):
@@ -994,10 +982,9 @@ class TestBlasThreads:
         result = solve(*_instance(38), ACTIVE_SVT)
         assert {count for _, count in in_blocks} == {1}
         assert threading.main_thread() not in {t for t, _ in in_blocks}
-        assert in_j and {count for _, count in in_j} == {2}
+        assert in_j and {count for _, count in in_j} == {1}
         assert blas.get() == 2
-        assert (result.block_threads, result.block_blas_threads,
-                result.block_columns) == (2, 1, 12)
+        assert (result.block_threads, result.block_columns) == (2, 12)
 
     @pytest.mark.parametrize("in_block", [False, True],
                              ids=["non_finite_c", "raised_in_block"])
@@ -1022,8 +1009,8 @@ class TestBlasThreads:
         assert blas.get() == 2
 
     def test_concurrent_solves(self, monkeypatch, blas):
-        # two solves at once give the serial bits, every J step sees the
-        # configured count, and it is back afterwards
+        # two solves at once give the serial bits, every J step sees one
+        # BLAS thread, and the configured count is back afterwards
         in_j = []
         fn = solver_mod.svt
 
@@ -1055,7 +1042,7 @@ class TestBlasThreads:
         for got, want in zip(results, serial):
             assert got.block_columns == want.block_columns == 12
             _assert_same_solve(got, want)
-        assert in_j and set(in_j) == {2}
+        assert in_j and set(in_j) == {1}
         assert blas.get() == 2
 
 
@@ -1073,5 +1060,28 @@ def test_bits_do_not_depend_on_the_blas_handle(monkeypatch):
     _assert_same_solve(*results)
     assert [r.block_columns for r in results] == \
         [12 if handles[0] else 4, 4]
-    assert (results[1].block_threads, results[1].block_blas_threads) == \
-        (1, None)
+    assert results[1].block_threads == 1
+
+
+@pytest.mark.parametrize("shape,cfg,svt_iterations", [
+    ((64, 300, 1000), SolverConfig(max_iter=3), 0),
+    ((64, 65, 8192), SolverConfig(mu0=1.0, rho=1.5, mu_max=1e12,
+                                  max_iter=3), 3),
+], ids=["gram", "active_svt"])
+def test_bits_do_not_depend_on_the_blas_thread_count(blas, shape, cfg,
+                                                     svt_iterations):
+    # solves at numpy's BLAS counts 1 and 2, the count given back after
+    # each. Before the solve held the count at one, the first shape (J
+    # zero) moved with it through the Gram SVD of [H', 1], and the second
+    # (equal Gram matrices) through the SVT, which runs in every iteration
+    n_bands, n_h, n_pixels = shape
+    rng = np.random.default_rng(46)
+    xs = [rng.standard_normal((n_bands, n_pixels)) for _ in range(2)]
+    h = rng.standard_normal((n_bands, n_h))
+    results = []
+    for count in (1, 2):
+        blas.set(count)
+        results.append(solve(xs, h, cfg))
+        assert blas.get() == count
+    assert [r.svt_iterations for r in results] == [svt_iterations] * 2
+    _assert_same_solve(*results)
