@@ -312,6 +312,8 @@ def load_mask(path: str) -> GroundTruthMask:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
         raise FormatError(f"{path}: malformed PGM header") from None
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: non-positive PGM dimension")
     if maxval != 255:
         raise FormatError(f"{path}: PGM maxval must be 255, got {maxval}")
     i += 1  # single whitespace byte after maxval

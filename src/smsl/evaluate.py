@@ -58,6 +58,10 @@ def roc(scores: DetectionMap, mask: GroundTruthMask) -> RocCurve:
     return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
 
 
+# 0-based index of the synthetic view that receives the changes
+_ANOMALY_VIEW = 1
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Synthetic multi-temporal scene: low-rank background shared by all
@@ -73,7 +77,6 @@ class SynthSpec:
     anomaly_magnitude: float = 1.0
     noise_sigma: float = 0.01
     seed: int = 0
-    anomaly_view: int = 1  # 0-based index of the view receiving the changes
 
     def __post_init__(self):
         if self.views < 2:
@@ -83,8 +86,6 @@ class SynthSpec:
         if not (self.n_anomalies >= 0 and self.anomaly_magnitude >= 0
                 and self.noise_sigma >= 0):  # NaN fails each
             raise ValueError("counts and scales must be nonnegative")
-        if not 0 <= self.anomaly_view < self.views:
-            raise ValueError("anomaly_view out of range")
         if self.n_endmembers < 1 or self.bands < 1:
             raise ValueError("need at least one endmember and one band")
 
@@ -108,7 +109,7 @@ def synth_scene(spec: SynthSpec):
     for s in range(spec.views):
         gain = rng.uniform(0.98, 1.02)
         x = gain * background
-        if s == spec.anomaly_view and spec.n_anomalies:
+        if s == _ANOMALY_VIEW and spec.n_anomalies:
             x = x.copy()
             x[:, anomaly_idx] = (background[:, anomaly_idx]
                                  + spec.anomaly_magnitude * directions)

@@ -11,9 +11,11 @@ The builders never hold a whole R: each repeat's R_j is streamed in row
 blocks of 2 MB, the repeats of a block are drawn in parallel (one thread
 per repeat, at most one per available CPU), and the blocks are summed over
 the repeats in a fixed order, so the dictionary has the same bits whatever
-the number of cores. Averaged dictionaries take one product X mean_j(R_j)
-instead of one per repeat. That product runs with numpy's BLAS held at one
-thread (_one_blas_thread), since its bits depend on the BLAS's thread count.
+the number of cores. Each block, averaged over the repeats first for an
+averaged dictionary, is multiplied by its columns of X as soon as it is
+drawn, so a build holds R blocks of 2 MB and the dictionary, nothing the
+size of the scene. The products run with numpy's BLAS held at one thread
+(_one_blas_thread), since their bits depend on the BLAS's thread count.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ _REPEAT_SALT = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 # float64 entries per repeat in one row block of R drawn at a time (2 MB)
 _BLOCK_ENTRIES = 1 << 18
-# float64 entries of projection rows gathered for one product with X (128 MB)
-_PANEL_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -139,50 +139,43 @@ def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
     Each R_j is drawn in row blocks of _BLOCK_ENTRIES entries, the repeats
     of a block in parallel; a block consumes its repeat's generator exactly
     as the rows of one (S*N, n_h) draw do. The blocks are summed over j in
-    a fixed order, so the result does not depend on the worker count. They
-    fill a panel of at most _PANEL_ENTRIES entries, which takes one product
-    with X: a product per block, issued between the draws, left the idle
-    threads of a multi-threaded BLAS competing with the draws for the cores.
-    A float32 X is widened to float64 one panel's column slab at a time,
-    inside the product; the widening is exact, so the dictionary has the
-    bits of a float64 X with the same values. The product runs on one BLAS
-    thread: at 16 x 8192 by 8192 x 500 its bits moved with the count.
+    a fixed order, so the result does not depend on the worker count, and
+    each takes its product with its columns of X as soon as it is drawn. A
+    float32 X is widened to float64 one block's columns at a time, inside
+    the product; the widening is exact, so the dictionary has the bits of a
+    float64 X with the same values. The products run on one BLAS thread:
+    at 16 x 8192 by 8192 x 500 their bits moved with the count.
     """
     stacked = views.stacked
     n = stacked.shape[1]
     n_h, repeats = cfg.n_h, cfg.repeats
     if n_h > n:
         raise ValueError(f"n_h={n_h} exceeds total sample count {n}")
-    n_out = 1 if average else repeats
     rows = min(n, max(1, _BLOCK_ENTRIES // n_h))
-    panel_rows = min(n, max(1, _PANEL_ENTRIES // (n_out * n_h * rows)) * rows)
     rngs = [np.random.default_rng(repeat_seed(cfg.seed, j))
             for j in range(repeats)]
-    panel = np.empty((n_out, panel_rows, n_h))
-    # averaging: repeat 0 is drawn into the panel, the others into buf
-    buf = np.empty((repeats - n_out, rows, n_h))
-    out = np.zeros((n_out, stacked.shape[0], n_h))
+    buf = np.empty((repeats, rows, n_h))
+    out = np.zeros((1 if average else repeats, stacked.shape[0], n_h))
     scale = np.sqrt(n_h)
 
-    def draw(j, b0, k):
-        dst = panel[j, b0:b0 + k] if j < n_out else buf[j - n_out, :k]
-        rngs[j].standard_normal(out=dst)
+    def draw(j, k):
+        rngs[j].standard_normal(out=buf[j, :k])
 
-    with ThreadPoolExecutor(_draw_workers(repeats)) as pool:
-        for p0 in range(0, n, panel_rows):
-            pk = min(panel_rows, n - p0)
-            for b0 in range(0, pk, rows):
-                k = min(rows, pk - b0)
-                list(pool.map(draw, range(repeats), repeat(b0), repeat(k)))
-                blk = panel[:, b0:b0 + k]
-                for j in range(n_out, repeats):  # averaging only
-                    blk[0] += buf[j - n_out, :k]
-                blk /= scale
-                if average:
-                    blk /= repeats
-            with _one_blas_thread():
-                for j in range(n_out):
-                    out[j] += stacked[:, p0:p0 + pk] @ panel[j, :pk]
+    with ThreadPoolExecutor(_draw_workers(repeats)) as pool, \
+            _one_blas_thread():
+        for b0 in range(0, n, rows):
+            k = min(rows, n - b0)
+            list(pool.map(draw, range(repeats), repeat(k)))
+            blk = buf[:, :k]
+            if average:
+                for j in range(1, repeats):
+                    blk[0] += blk[j]
+                blk = blk[:1]
+            blk /= scale
+            if average:
+                blk /= repeats
+            for j, r in enumerate(blk):
+                out[j] += stacked[:, b0:b0 + k] @ r
     return out
 
 
@@ -196,8 +189,9 @@ def build_dictionary(views: ViewSet, cfg: SketchConfig) -> np.ndarray:
     """The dictionary used by a single solve.
 
     For average_mode="dictionary" this is ``X mean_j R_j``, the mean of the
-    per-repeat dictionaries up to rounding, from one product; for
-    average_mode="scores" averaging happens over detection maps instead, so
-    each solve should use one entry of :func:`build_dictionaries`.
+    per-repeat dictionaries up to rounding, from one product per row block;
+    for average_mode="scores" averaging happens over detection maps
+    instead, so each solve should use one entry of
+    :func:`build_dictionaries`.
     """
     return _sketch(views, cfg, average=True)[0]

@@ -285,14 +285,15 @@ class _Gram:
 _BLOCK_COLUMNS = 512
 # Below this many bytes of L- and n_h-row arrays over all views,
 # 8 width S (2L + n_h), a block of _BLOCK_COLUMNS runs on the calling
-# thread. Time per iteration of 2 block threads (BLAS held at one) over 1
-# (BLAS at its 2), 2 vCPUs, no thread variable set, blocks of 512 columns,
-# two measurements each:
-#   L = 16, n_h = 50, N = 1000-8000 (criterion 7)  0.26-0.67 MB  1.5-7.7
-#   L = 32, n_h = 100, S = 2                       1.34 MB       0.76
-#   L = 32, n_h = 100, S = 3 (drift3)              2.0 MB        0.62-0.74
-#   L = 16, n_h = 500 (default64)                  4.4 MB        0.54-0.75
-#   L = 224, n_h = 200, N = 40000 (sensor)         5.3 MB        0.47-0.52
+# thread. Time per iteration of 2 block threads over 1, numpy's BLAS held
+# at one in both, 2 vCPUs, 3 measurements each; 2 threads widen the blocks
+# as _block_plan does (columns in brackets where they widen):
+#   L = 16, n_h = 50, N = 1000-4000 (criterion 7)  0.67 MB  0.81-1.67
+#   L = 16, n_h = 50, N = 8000 (criterion 7)       0.67 MB  0.54-0.56 (3584)
+#   L = 32, n_h = 100, S = 2, N = 4096             1.34 MB  0.69-0.81 (2048)
+#   L = 32, n_h = 100, S = 3, N = 4096 (drift3)    2.0 MB   0.68-0.91 (2048)
+#   L = 16, n_h = 500, N = 4096 (default64)        4.4 MB   0.63-0.71
+#   L = 224, n_h = 200, N = 40000 (sensor)         5.3 MB   0.44-0.62
 _SMALL_BLOCK_BYTES = 1 << 20
 # Threaded blocks span k _BLOCK_COLUMNS columns, as many as fit in this
 # many bytes (k >= 1), so that blocks from 1 to 4 MiB widen. A 12-iteration

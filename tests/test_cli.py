@@ -541,6 +541,13 @@ class TestEval:
         capsys.readouterr()
         assert code == 1
 
+    def test_non_positive_mask_dimensions_exit_1(self, tmp_path, capsys):
+        s = self.fixture_scores(tmp_path, [4, 3, 1, 0])
+        m = tmp_path / "m.pgm"
+        m.write_bytes(b"P5\n-1 -1\n255\n\0")
+        assert main(["eval", "--scores", s, "--mask", str(m)]) == 1
+        assert f"{m}: non-positive PGM dimension" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_mask_positive_count(self, tmp_path):

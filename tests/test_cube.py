@@ -162,6 +162,15 @@ def test_mask_rejects_intermediate_values(tmp_path):
         load_mask(str(tmp_path / "m.pgm"))
 
 
+@pytest.mark.parametrize("dims", [b"-1 -1", b"0 3", b"3 0"])
+def test_mask_rejects_non_positive_dimensions(tmp_path, dims):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\n\0")
+    with pytest.raises(FormatError) as exc:
+        load_mask(str(path))
+    assert f"{path}: non-positive PGM dimension" in str(exc.value)
+
+
 def test_mask_bad_magic(tmp_path):
     (tmp_path / "m.pgm").write_bytes(b"P2\n2 1\n255\n" + bytes([0, 1]))
     with pytest.raises(FormatError):

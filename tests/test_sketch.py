@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,19 +122,15 @@ def _max_rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-def _small_blocks(monkeypatch, block, panel):
+def _small_blocks(monkeypatch, block):
     monkeypatch.setattr(sketch, "_BLOCK_ENTRIES", block)
-    monkeypatch.setattr(sketch, "_PANEL_ENTRIES", panel)
 
 
 class TestStreamedBuild:
     @pytest.mark.parametrize("repeats", [1, 3, 10])
-    @pytest.mark.parametrize("panel", [1 << 24, 60])
-    def test_matches_per_repeat_builder(self, monkeypatch, repeats, panel):
-        # S*N = 30 rows of R in blocks of 4 rows (the last has 2); a 60-entry
-        # panel holds 12 averaged rows (3 panels, the last ragged) or one
-        # block of per-repeat rows
-        _small_blocks(monkeypatch, 20, panel)
+    def test_matches_per_repeat_builder(self, monkeypatch, repeats):
+        # S*N = 30 rows of R in blocks of 4 rows (the last has 2)
+        _small_blocks(monkeypatch, 20)
         vs = _views(np.random.default_rng(12))
         cfg = SketchConfig(n_h=5, seed=8, repeats=repeats)
         old = _old_products(vs, cfg)
@@ -147,20 +145,27 @@ class TestStreamedBuild:
 
     def test_blocks_consume_the_stream_of_one_draw(self):
         # n_h = 1024 gives 256-row blocks at the real block size, so
-        # S*N = 1100 takes 5 blocks (the last of 76 rows) in one panel; each
-        # repeat's panel is then exactly its jlt_matrix
+        # S*N = 1100 takes 5 blocks (the last of 76 rows); each repeat's
+        # blocks are then exactly the row blocks of its jlt_matrix, and its
+        # dictionary the sum of their products in block order
         rng = np.random.default_rng(13)
         cubes = tuple(HyperCube(2, 22, 25, rng.standard_normal(1100))
                       for _ in range(2))
         vs = ViewSet(cubes)
         cfg = SketchConfig(n_h=1024, seed=5, repeats=3,
                            average_mode="scores")
-        for d, h in zip(build_dictionaries(vs, cfg), _old_products(vs, cfg)):
+        stacked = np.hstack(vs.matrices())
+        for j, d in enumerate(build_dictionaries(vs, cfg)):
+            r = jlt_matrix(1100, 1024, repeat_seed(cfg.seed, j))
+            h = np.zeros((2, 1024))
+            with sketch._one_blas_thread():
+                for b0 in range(0, 1100, 256):
+                    h += stacked[:, b0:b0 + 256] @ r[b0:b0 + 256]
             assert np.array_equal(d, h)
 
     @pytest.mark.parametrize("average", [True, False])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, average):
-        _small_blocks(monkeypatch, 20, 60)
+        _small_blocks(monkeypatch, 20)
         vs = _views(np.random.default_rng(14))
         cfg = SketchConfig(n_h=5, seed=2, repeats=4,
                            average_mode="dictionary" if average else "scores")
@@ -183,6 +188,27 @@ class TestStreamedBuild:
             results.append(build_dictionary(views, SketchConfig()))
             assert handle.get() == count
         assert np.array_equal(*results)
+
+    def test_build_holds_nothing_the_size_of_the_scene(self):
+        # 16 bands by 2 x 50,000 float32 pixels: the build allocates R row
+        # blocks of 2 MB, their products and the dictionary, not a panel of
+        # R's rows nor a float64 copy of X
+        rng = np.random.default_rng(15)
+        cubes = tuple(
+            HyperCube(16, 250, 200,
+                      rng.standard_normal(16 * 50_000, dtype=np.float32))
+            for _ in range(2))
+        vs = ViewSet(cubes)
+        scene_bytes = vs.stacked.nbytes
+        cfg = SketchConfig(n_h=64, seed=0, repeats=2)
+        tracemalloc.start()
+        try:
+            build_dictionary(vs, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vs.stacked.shape == (16, 100_000)
+        assert peak < scene_bytes
 
     def test_draw_workers_bounded_by_repeats(self):
         assert sketch._draw_workers(1) == 1
