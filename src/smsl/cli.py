@@ -19,6 +19,11 @@ object recording `argv`, `outputs`, `input_sha256` and `output_sha256`,
 whose `argv` does not parse, or that records a rerun is not replayed: exit
 1 naming it.
 
+A command that would write an output file (a score map's header or
+payload, a trace, a ROC CSV or the manifest) over one of its input files,
+over another of its outputs, or as both a header and its own payload exits
+2 naming that file before it loads its inputs.
+
 Exit codes: 0 success, 1 runtime/data failure, 2 usage/config error.
 """
 
@@ -126,10 +131,45 @@ def _files(args, names: tuple) -> list:
     return [p for v in values if v for p in ([v] if isinstance(v, str) else v)]
 
 
+# commands whose --out is a score map: a header and the payload it names
+_MAP_OUTPUTS = ("detect", "baseline")
+
+
+def _check_outputs(args) -> None:
+    """A ValueError naming the first file that the command of args would
+    write over a file it reads, over another file it writes (its manifest
+    included), or as both a header and the payload that header names."""
+    owners = {os.path.realpath(f): "an input file"
+              for p in _files(args, _INPUT_FILES) for f in cube.input_files(p)}
+    written = []  # (role, path) of each output file
+    for name in _OUTPUT_FILES:
+        path = getattr(args, name, None)
+        if not path:
+            continue
+        flag = "--" + name.replace("_", "-")
+        files = (zip(("header", "payload"), cube.output_files(path))
+                 if name == "out" and args.command in _MAP_OUTPUTS
+                 else [("file", path)])
+        written += [(f"the {flag} {kind}", f) for kind, f in files]
+    if written:
+        written.append(("the manifest", _manifest_path(args, written[0][1])))
+    for role, path in written:
+        owner = owners.setdefault(os.path.realpath(path), role)
+        if owner != role:
+            raise ValueError(f"{path}: {role} would overwrite {owner}")
+
+
 def _blas_build() -> dict:
     """Name and version of the BLAS numpy was built against."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"name": blas["name"], "version": blas["version"]}
+
+
+def _manifest_path(args, first_output: str) -> str:
+    """Where the manifest of a command that writes first_output first goes:
+    out_dir/manifest.json, or beside first_output."""
+    return (os.path.join(args.out_dir, "manifest.json")
+            if hasattr(args, "out_dir") else first_output + ".manifest.json")
 
 
 def _write_manifest(args, argv: list, record: dict, verified: dict) -> None:
@@ -141,8 +181,7 @@ def _write_manifest(args, argv: list, record: dict, verified: dict) -> None:
     outputs = _files(args, _OUTPUT_FILES) + record.pop("outputs", [])
     if not outputs:
         return
-    path = (os.path.join(args.out_dir, "manifest.json")
-            if hasattr(args, "out_dir") else outputs[0] + ".manifest.json")
+    path = _manifest_path(args, outputs[0])
     inputs = _files(args, _INPUT_FILES)
     skip = {*_INPUT_FILES, *_OUTPUT_FILES, "out_dir", "func"}
     manifest = {
@@ -446,6 +485,7 @@ def _execute(args, argv: list, verified_sha256: dict, replay_dir=None) -> int:
     if replay_dir is not None:
         _redirect_outputs(args, replay_dir)
     try:
+        _check_outputs(args)
         start = time.monotonic()
         record = args.func(args)
         if isinstance(record, int):

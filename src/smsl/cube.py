@@ -171,17 +171,24 @@ def unflatten(matrix: np.ndarray, height: int, width: int) -> HyperCube:
 # header + raw payload I/O
 
 
-def _save(header_path: str, magic: str, bands: int, height: int, width: int,
-          data: np.ndarray) -> None:
-    """Write a header and the raw f32 payload it names, <stem>.raw."""
+def output_files(header_path: str) -> list:
+    """The files that saving a cube or score map to header_path writes: the
+    header and the payload it names, <stem>.raw beside it."""
     base = os.path.basename(header_path)
     name = (base.rsplit(".", 1)[0] if "." in base else base) + ".raw"
+    return [header_path, os.path.join(os.path.dirname(header_path), name)]
+
+
+def _save(header_path: str, magic: str, bands: int, height: int, width: int,
+          data: np.ndarray) -> None:
+    """Write a header and the raw f32 payload it names (output_files)."""
+    payload = output_files(header_path)[1]
     lines = [f"magic={magic}", f"version={FORMAT_VERSION}", f"bands={bands}",
              f"height={height}", f"width={width}", "dtype=f32", "layout=bsq",
-             "byte_order=little", f"payload={name}"]
+             "byte_order=little", f"payload={os.path.basename(payload)}"]
     with open(header_path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(os.path.dirname(header_path), name), "wb") as fh:
+    with open(payload, "wb") as fh:
         fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 

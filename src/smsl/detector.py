@@ -9,8 +9,8 @@ from time import perf_counter
 import numpy as np
 
 from .cube import DetectionMap, ViewSet
-from .sketch import SketchConfig, _one_blas_thread, build_dictionaries, \
-    build_dictionary
+from .sketch import SketchConfig, _draw_workers, _one_blas_thread, \
+    build_dictionaries, build_dictionary
 from .solver import _PASSES, SolverConfig, solve
 
 
@@ -69,7 +69,8 @@ def detect_with_result(views: ViewSet, cfg: DetectorConfig):
     converged, and the most iterations, SVT iterations, final max residual
     and nonzero W^s columns per view of any; under `timings` the seconds of
     the sketch, of each solve's passes and the rest of it (each summed)
-    and of the scoring; the `threads` and the `trace` of the last solve."""
+    and of the scoring; the `threads` of the last solve and of the sketch's
+    draws, and the `trace` of the last solve."""
     height, width = views.height, views.width
     start = perf_counter()
     if cfg.sketch.average_mode == "scores":
@@ -99,9 +100,10 @@ def detect_with_result(views: ViewSet, cfg: DetectorConfig):
                                              result.w_nonzero_columns))
         for k, seconds in result.timings.items():
             timings[k] += seconds
-        # the solver's own threads, which the thread variables do not give
+        # smsl's own threads, which the thread variables do not give
         record["threads"] = {"block_threads": result.block_threads,
-                             "block_columns": result.block_columns}
+                             "block_columns": result.block_columns,
+                             "draw_threads": _draw_workers(cfg.sketch.repeats)}
         record["trace"] = result.trace
         del result
     start = perf_counter()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import smsl
-from smsl import cli, cube, detector, evaluate, solver
+from smsl import cli, cube, detector, evaluate, sketch, solver
 from smsl.cli import main, parse_grid
 from smsl.cube import load_scores, save_cube, save_mask
 from smsl.detector import DetectorConfig
@@ -227,17 +227,19 @@ class TestDetect:
     @pytest.mark.parametrize("settable", [True, False])
     def test_manifest_records_the_solve_threads(self, scene, tmp_path,
                                                 monkeypatch, settable):
-        # the block threads and the block width, which the thread
-        # variables alone do not give: with numpy's BLAS count settable,
-        # two block threads run blocks widened to 48 columns (48, 48 and
-        # 4); without it, the blocks run on the calling thread whatever
-        # the variables
+        # the block threads, the block width and the sketch's draw
+        # threads, which the thread variables alone do not give: with
+        # numpy's BLAS count settable, two block threads run blocks widened
+        # to 48 columns (48, 48 and 4); without it, the blocks run on the
+        # calling thread whatever the variables. The 2 repeats are drawn
+        # on 2 threads either way
         handle = solver._blas_threads()
         if settable and handle is None:
             pytest.skip("numpy's BLAS thread count cannot be set")
         monkeypatch.setattr(solver, "_BLOCK_COLUMNS", 16)  # 7 blocks
         monkeypatch.setattr(solver, "_SMALL_BLOCK_BYTES", 0)
         monkeypatch.setattr(solver, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(sketch, "_available_cpus", lambda: 2)
         monkeypatch.setattr(solver, "_blas_threads",
                             lambda: handle if settable else None)
         for var in cli._THREAD_VARS:
@@ -246,8 +248,9 @@ class TestDetect:
         assert main(detect_args(scene, out)) == 0
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["threads"] == (
-            {"block_threads": 2, "block_columns": 48} if settable else
-            {"block_threads": 1, "block_columns": 16})
+            {"block_threads": 2, "block_columns": 48, "draw_threads": 2}
+            if settable else
+            {"block_threads": 1, "block_columns": 16, "draw_threads": 2})
 
     def test_manifest_records_every_solve(self, scene, tmp_path,
                                           monkeypatch):
@@ -460,6 +463,65 @@ class TestDetect:
             gc.collect()
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
+
+
+_DETECT = ["detect", "{s}/view_1.hdr", "{s}/view_2.hdr", "--sketch-size",
+           "20", "--sketch-repeats", "2", "--max-iter", "3"]
+
+
+class TestOutputPaths:
+    # an output file that lands on a file the command reads or writes:
+    # (argv, the file named, what it would overwrite)
+    CASES = {
+        "out_on_an_input_payload": (
+            _DETECT + ["--out", "{s}/view_1.raw"], "view_1.raw",
+            "an input file"),
+        "out_payload_on_its_own_header": (
+            _DETECT + ["--out", "{s}/map.raw"], "map.raw",
+            "the --out header"),
+        "trace_on_an_input_header": (
+            _DETECT + ["--out", "{s}/map.hdr", "--trace", "{s}/view_2.hdr"],
+            "view_2.hdr", "an input file"),
+        "trace_on_the_out_payload": (
+            _DETECT + ["--out", "{s}/map.hdr", "--trace", "{s}/map.raw"],
+            "map.raw", "the --out payload"),
+        "trace_under_the_manifest": (
+            _DETECT + ["--out", "{s}/map.hdr", "--trace",
+                       "{s}/map.hdr.manifest.json"],
+            "map.hdr.manifest.json", "the --trace file"),
+        "baseline_out_on_an_input_header": (
+            ["baseline", "{s}/view_1.hdr", "{s}/view_2.hdr", "--method", "rx",
+             "--out", "{s}/view_2.hdr"], "view_2.hdr", "an input file"),
+        "roc_out_on_the_scores_payload": (
+            ["eval", "--scores", "{s}/scores.hdr", "--mask", "{s}/mask.pgm",
+             "--roc-out", "{s}/scores.raw"], "scores.raw", "an input file"),
+        "roc_out_on_the_mask": (
+            ["eval", "--scores", "{s}/scores.hdr", "--mask", "{s}/mask.pgm",
+             "--roc-out", "{s}/mask.pgm"], "mask.pgm", "an input file"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_naming_it_and_writes_nothing(self, scene, tmp_path,
+                                                  capsys, case):
+        argv, named, owner = self.CASES[case]
+        root = tmp_path / "s"
+        shutil.copytree(scene["dir"], root)
+        cube.save_scores(cube.DetectionMap(10, 10, np.arange(100.0)),
+                         str(root / "scores.hdr"))
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        capsys.readouterr()
+        assert main([a.format(s=root) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"{root / named}: " in err and owner in err
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+    def test_distinct_outputs_beside_the_inputs_run(self, scene, tmp_path):
+        root = tmp_path / "s"
+        shutil.copytree(scene["dir"], root)
+        argv = _DETECT + ["--out", "{s}/map.hdr", "--trace", "{s}/map.csv"]
+        assert main([a.format(s=root) for a in argv]) == 0
+        assert main(["eval", "--scores", str(root / "map.hdr"), "--mask",
+                     str(root / "mask.pgm")]) == 0
 
 
 class TestBaseline:

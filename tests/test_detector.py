@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from smsl import detector as detector_mod
+from smsl import sketch as sketch_mod
 from smsl import solver as solver_mod
 from smsl.cube import HyperCube, ViewSet, load_cube, save_cube
 from smsl.detector import (DetectorConfig, detect, detect_with_result,
@@ -271,10 +272,11 @@ def test_map_does_not_depend_on_the_blas_handle(monkeypatch, n_views,
                                                 average_mode, n_h):
     # blocks widened to 128 columns (128, 128 and 64) on both CPUs with
     # numpy's BLAS held at one thread, or with the handle gone, blocks of 64
-    # on the calling thread
+    # on the calling thread; the 3 repeats are drawn on both CPUs either way
     monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 64)
     monkeypatch.setattr(solver_mod, "_SMALL_BLOCK_BYTES", 0)
     monkeypatch.setattr(solver_mod, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(sketch_mod, "_available_cpus", lambda: 2)
     views, _ = synth_scene(SynthSpec(height=16, width=20, bands=12,
                                      views=n_views, n_anomalies=6, seed=5))
     cfg = DetectorConfig(
@@ -292,4 +294,5 @@ def test_map_does_not_depend_on_the_blas_handle(monkeypatch, n_views,
     assert got_record["threads"]["block_columns"] == \
         (128 if handles[0] else 64)
     assert want_record["threads"] == {"block_threads": 1,
-                                      "block_columns": 64}
+                                      "block_columns": 64,
+                                      "draw_threads": 2}

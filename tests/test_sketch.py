@@ -1,3 +1,5 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,11 +12,16 @@ from smsl.sketch import (SketchConfig, build_dictionaries, build_dictionary,
                          repeat_seed)
 
 
+def normals(n, n_h, seed):
+    """The n x n_h standard normals a repeat of this seed draws."""
+    return np.random.default_rng(seed).standard_normal((n, n_h))
+
+
 def jlt_matrix(n, n_h, seed):
     """The whole n x n_h projection R with i.i.d. N(0, 1/n_h) entries that
     the sketch streams for a repeat of this seed: the oracle for its
     products."""
-    return np.random.default_rng(seed).standard_normal((n, n_h)) / np.sqrt(n_h)
+    return normals(n, n_h, seed) / np.sqrt(n_h)
 
 
 def _views(rng, bands=4, height=3, width=5, n=2):
@@ -174,6 +181,94 @@ class TestStreamedBuild:
             monkeypatch.setattr(sketch, "_draw_workers", lambda r, w=workers: w)
             results.append(sketch._sketch(vs, cfg, average))
         assert all(np.array_equal(r, results[0]) for r in results[1:])
+
+    def test_averaged_dictionary_matches_its_oracle(self):
+        # the real block size: n_h = 1000 gives 262-row blocks, so
+        # S*N = 1100 takes 5 blocks, the last of 52 rows. Each block of
+        # mean_j R_j is its repeats' normals summed in repeat order, divided
+        # by sqrt(n_h) and then by R, and the dictionary the sum of the
+        # blocks' products in block order
+        rng = np.random.default_rng(16)
+        vs = ViewSet(tuple(HyperCube(3, 22, 25, rng.standard_normal(1650))
+                           for _ in range(2)))
+        cfg = SketchConfig(n_h=1000, seed=9, repeats=3)
+        draws = [normals(1100, 1000, repeat_seed(cfg.seed, j))
+                 for j in range(cfg.repeats)]
+        h = np.zeros((3, 1000))
+        with sketch._one_blas_thread():
+            for b0 in range(0, 1100, 262):
+                blk = draws[0][b0:b0 + 262].copy()
+                for r in draws[1:]:
+                    blk += r[b0:b0 + 262]
+                blk /= np.sqrt(1000)
+                blk /= cfg.repeats
+                h += vs.stacked[:, b0:b0 + 262] @ blk
+        assert np.array_equal(build_dictionary(vs, cfg), h)
+
+    @pytest.mark.parametrize("average", [True, False])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_each_repeat_draws_its_blocks_in_order_one_at_a_time(
+            self, monkeypatch, average, workers):
+        # S*N = 30 rows in blocks of 4 (the last of 2), R = 4: each
+        # repeat's generator is wrapped to log its draws, and repeat 0's
+        # draws sleep longest, so that the other threads run ahead into
+        # its next block if it were submitted before this one is read
+        _small_blocks(monkeypatch, 20)
+        vs = _views(np.random.default_rng(17))
+        cfg = SketchConfig(n_h=5, seed=4, repeats=4,
+                           average_mode="dictionary" if average else "scores")
+        expected = sketch._sketch(vs, cfg, average)
+        repeat_of = {repeat_seed(cfg.seed, j): j for j in range(cfg.repeats)}
+        rows = [[] for _ in range(cfg.repeats)]
+        running = [0] * cfg.repeats
+        overlaps = []
+        lock = threading.Lock()
+        default_rng = np.random.default_rng
+
+        class Logged:
+            def __init__(self, seed):
+                self.j, self.rng = repeat_of[seed], default_rng(seed)
+
+            def standard_normal(self, out):
+                with lock:
+                    running[self.j] += 1
+                    if running[self.j] > 1:
+                        overlaps.append(self.j)
+                time.sleep(3e-3 if self.j == 0 else 2e-4)
+                self.rng.standard_normal(out=out)
+                rows[self.j].append(len(out))
+                with lock:
+                    running[self.j] -= 1
+
+        monkeypatch.setattr(np.random, "default_rng", Logged)
+        monkeypatch.setattr(sketch, "_draw_workers", lambda r: workers)
+        assert np.array_equal(sketch._sketch(vs, cfg, average), expected)
+        assert overlaps == []
+        assert rows == [[4] * 7 + [2]] * cfg.repeats
+
+    def test_a_failing_draw_raises_and_leaves_no_thread(self, monkeypatch):
+        _small_blocks(monkeypatch, 20)
+        vs = _views(np.random.default_rng(18))
+        cfg = SketchConfig(n_h=5, seed=6, repeats=3)
+        failing = repeat_seed(cfg.seed, 1)
+        default_rng = np.random.default_rng
+
+        class Failing:
+            def __init__(self, seed):
+                self.seed, self.rng, self.draws = seed, default_rng(seed), 0
+
+            def standard_normal(self, out):
+                self.draws += 1
+                if self.seed == failing and self.draws == 3:
+                    raise RuntimeError("draw failed")
+                self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", Failing)
+        monkeypatch.setattr(sketch, "_draw_workers", lambda r: 2)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="draw failed"):
+            build_dictionary(vs, cfg)
+        assert set(threading.enumerate()) <= before
 
     def test_bit_identical_for_any_blas_thread_count(self):
         # the default synth scene's 16 x 500 dictionary, whose product's
