@@ -8,8 +8,9 @@ command's load, compute and save time, without the manifest's own hashing)
 and an `env` block (the smsl, numpy and Python versions, the BLAS build
 numpy links, the BLAS thread variables and the CPUs the process may run
 on). `smsl rerun MANIFEST`
-checks the input checksums (exit 1 on a mismatch), replays the recorded
-command into a temporary directory and compares the sha256 of each output
+checks the input checksums (exit 1 on a mismatch), runs the recorded
+command itself with its outputs mirrored under a temporary directory,
+writing no manifest of its own, and compares the sha256 of each output
 with the recorded one: exit 1 naming the first file that differs, the max
 relative deviation of the replayed score map when that file belongs to
 one, and each `env` field (a thread variable, the BLAS build, the CPUs or
@@ -96,7 +97,16 @@ def _synth_spec(args) -> SynthSpec:
 
 
 def _load_views(paths) -> cube.ViewSet:
-    return cube.ViewSet(tuple(cube.load_cube(p) for p in paths))
+    """The cubes at paths as one ViewSet, or else a FormatError naming the
+    first cube whose bands, height or width differ from the first's."""
+    cubes = [cube.load_cube(p) for p in paths]
+    shapes = [f"{c.bands}x{c.height}x{c.width}" for c in cubes]
+    for path, shape in zip(paths, shapes):
+        if shape != shapes[0]:
+            raise cube.FormatError(
+                f"{path}: bands x height x width {shape} differ from "
+                f"{shapes[0]} of {paths[0]}")
+    return cube.ViewSet(tuple(cubes))
 
 
 def _sha256(path: str) -> str:
@@ -107,15 +117,14 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _checksums(paths: list, verified: dict) -> dict:
+def _checksums(paths: list) -> dict:
     """sha256 of every file in paths and of every payload a header among
-    them names, keyed by path; a file named twice is hashed once, and a
-    file with a digest in `verified` is not hashed again."""
+    them names, keyed by path; a file named twice is hashed once."""
     sums = {}
     for path in paths:
         for name in cube.input_files(path):
             if name not in sums:
-                sums[name] = verified.get(name) or _sha256(name)
+                sums[name] = _sha256(name)
     return sums
 
 
@@ -159,10 +168,17 @@ def _check_outputs(args) -> None:
             raise ValueError(f"{path}: {role} would overwrite {owner}")
 
 
-def _blas_build() -> dict:
-    """Name and version of the BLAS numpy was built against."""
+def _env() -> dict:
+    """The manifest's env block: the smsl, numpy and Python versions, the
+    CPUs this process may run on, the BLAS thread variables and the name
+    and version of the BLAS numpy was built against."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"name": blas["name"], "version": blas["version"]}
+    return {
+        "smsl": __version__, "numpy": np.__version__,
+        "python": platform.python_version(), "cpus": _available_cpus(),
+        "thread_vars": {v: os.environ.get(v) for v in _THREAD_VARS},
+        "blas": {"name": blas["name"], "version": blas["version"]},
+    }
 
 
 def _manifest_path(args, first_output: str) -> str:
@@ -172,12 +188,11 @@ def _manifest_path(args, first_output: str) -> str:
             if hasattr(args, "out_dir") else first_output + ".manifest.json")
 
 
-def _write_manifest(args, argv: list, record: dict, verified: dict) -> None:
+def _write_manifest(args, argv: list, record: dict) -> None:
     """Manifest of a finished command, with `record`, the entries only the
     command knows (its `outputs` add to the output files). It goes to
     out_dir/manifest.json, or beside the first output file; a command that
-    wrote no file gets none. Inputs with a digest in `verified` are not
-    hashed again."""
+    wrote no file gets none."""
     outputs = _files(args, _OUTPUT_FILES) + record.pop("outputs", [])
     if not outputs:
         return
@@ -189,15 +204,10 @@ def _write_manifest(args, argv: list, record: dict, verified: dict) -> None:
         "argv": list(argv),
         "params": {k: v for k, v in vars(args).items() if k not in skip},
         "inputs": inputs,
-        "input_sha256": _checksums(inputs, verified),
+        "input_sha256": _checksums(inputs),
         "outputs": outputs,
-        "output_sha256": _checksums(outputs, {}),
-        "env": {
-            "smsl": __version__, "numpy": np.__version__,
-            "python": platform.python_version(), "cpus": _available_cpus(),
-            "thread_vars": {v: os.environ.get(v) for v in _THREAD_VARS},
-            "blas": _blas_build(),
-        },
+        "output_sha256": _checksums(outputs),
+        "env": _env(),
         **record,
     }
     with open(path, "w", encoding="ascii") as fh:
@@ -278,35 +288,21 @@ def cmd_sweep(args) -> dict:
     # every point is checked before the first one is solved
     for params in grid_points(grid):
         apply_params(base_cfg, params)
-    rows = sweep(_load_views(args.cubes), cube.load_mask(args.mask),
-                 base_cfg, grid)
+    views, mask = _load_views(args.cubes), cube.load_mask(args.mask)
+    if (mask.height, mask.width) != (views.height, views.width):
+        raise cube.FormatError(
+            f"{args.mask}: mask {mask.height}x{mask.width} does not match "
+            f"cubes {views.height}x{views.width}")
+    rows = sweep(views, mask, base_cfg, grid)
     write_sweep_csv(rows, args.out)
     return {}
 
 
-def _replay_dir(directory: str, replay_dir: str) -> str:
-    """Where a replay into replay_dir writes what a run wrote to directory:
-    a subdirectory named by a digest of its absolute path."""
-    key = hashlib.sha256(os.path.abspath(directory).encode()).hexdigest()
-    return os.path.join(replay_dir, key[:16])
-
-
 def _replay_path(path: str, replay_dir: str) -> str:
-    """Where a replay writes the file `path`. The file name is kept: a
-    header names its payload by file name."""
-    return os.path.join(_replay_dir(os.path.dirname(path), replay_dir),
-                        os.path.basename(path))
-
-
-def _redirect_outputs(args, replay_dir: str) -> None:
-    """Point the output arguments of args under replay_dir."""
-    for name in _OUTPUT_FILES:
-        if getattr(args, name, None) is not None:
-            path = _replay_path(getattr(args, name), replay_dir)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            setattr(args, name, path)
-    if getattr(args, "out_dir", None) is not None:
-        args.out_dir = _replay_dir(args.out_dir, replay_dir)
+    """Where a replay into replay_dir writes the file or directory `path`:
+    at its absolute path under replay_dir. File names are kept, since a
+    header names its payload by file name, and no two directories meet."""
+    return os.path.join(replay_dir, os.path.abspath(path).lstrip(os.sep))
 
 
 def _map_deviation(path: str, outputs: list, replay_dir: str) -> str:
@@ -387,11 +383,10 @@ def _replayed_args(argv: list, path: str) -> argparse.Namespace:
     return args
 
 
-def cmd_rerun(args) -> int:
+def cmd_rerun(args) -> dict:
     manifest = _read_manifest(args.manifest)
     replayed_args = _replayed_args(manifest["argv"], args.manifest)
-    recorded = manifest["input_sha256"]
-    for path, digest in recorded.items():
+    for path, digest in manifest["input_sha256"].items():
         if _sha256(path) != digest:
             raise cube.FormatError(
                 f"{path}: sha256 differs from the one recorded in "
@@ -399,20 +394,23 @@ def cmd_rerun(args) -> int:
             )
     expected = manifest["output_sha256"]
     with tempfile.TemporaryDirectory(prefix="smsl-rerun-") as tmp:
-        code = _execute(replayed_args, manifest["argv"], recorded, tmp)
-        if code != 0:
-            return code
-        with open(_replay_path(args.manifest, tmp), encoding="ascii") as fh:
-            replay = json.load(fh)
-        replayed = replay["output_sha256"]
+        for name in (*_OUTPUT_FILES, "out_dir"):
+            if getattr(replayed_args, name, None) is not None:
+                path = _replay_path(getattr(replayed_args, name), tmp)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                setattr(replayed_args, name, path)
+        _check_outputs(replayed_args)
+        record = replayed_args.func(replayed_args)
+        replayed = _checksums(_files(replayed_args, _OUTPUT_FILES)
+                              + record.get("outputs", []))
         for path in sorted(expected):
             if replayed.get(_replay_path(path, tmp)) != expected[path]:
                 raise cube.FormatError(
                     f"{path}: the replay's sha256 differs from the one "
                     f"recorded in {args.manifest}"
                     + _map_deviation(path, manifest["outputs"], tmp)
-                    + _env_changes(manifest.get("env"), replay["env"]))
-    return 0
+                    + _env_changes(manifest.get("env"), _env()))
+    return {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,26 +470,21 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    return _execute(args, argv, {})
+    return _execute(args, argv)
 
 
-def _execute(args, argv: list, verified_sha256: dict, replay_dir=None) -> int:
+def _execute(args, argv: list) -> int:
     """Run and time the command of args, parsed from argv, write its
     manifest and return the exit code. A command returns its own manifest
-    entries, or rerun the replay's exit code. `verified_sha256` maps input
-    paths to digests the caller has just checked; the manifest reuses them.
-    With a replay_dir, the command writes its outputs and manifest under it
-    instead (see _replay_path)."""
-    if replay_dir is not None:
-        _redirect_outputs(args, replay_dir)
+    entries; rerun returns none and, naming no output file, gets no
+    manifest: it runs the recorded command itself, with its outputs
+    mirrored under a temporary directory (see cmd_rerun)."""
     try:
         _check_outputs(args)
         start = time.monotonic()
         record = args.func(args)
-        if isinstance(record, int):
-            return record
         record["wall_time_s"] = time.monotonic() - start
-        _write_manifest(args, argv, record, verified_sha256)
+        _write_manifest(args, argv, record)
         return 0
     except (cube.FormatError, solver.SolverError, OSError) as exc:
         print(f"smsl: {exc}", file=sys.stderr)

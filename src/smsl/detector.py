@@ -11,7 +11,7 @@ import numpy as np
 from .cube import DetectionMap, ViewSet
 from .sketch import SketchConfig, _draw_workers, _one_blas_thread, \
     build_dictionaries, build_dictionary
-from .solver import _PASSES, SolverConfig, solve
+from .solver import _PASSES, SolverConfig, _column_blocks, solve
 
 
 @dataclass(frozen=True)
@@ -20,17 +20,13 @@ class DetectorConfig:
     solver: SolverConfig = SolverConfig()
 
 
-# pixel columns scored at a time: a block's n_h x 512 coefficient
-# difference (2 MB at n_h = 500) replaces a whole-scene n_h x N one
-_SCORE_COLUMNS = 512
-
-
 def score_multiview(h, d: list, e: list, height: int, width: int) -> DetectionMap:
     """Sum over consecutive views (s, s+1) of the per-pixel pair score
     ||H(D^{s+1} - D^s)|| + ||E^{s+1} - E^s||, with H the L x n_h
-    dictionary array, over blocks of at most _SCORE_COLUMNS pixels, with
-    numpy's BLAS held at one thread: the bits of h @ (D^{s+1} - D^s) moved
-    with its thread count."""
+    dictionary array, over the solver's column blocks (_column_blocks), so
+    that a block's n_h x 512 coefficient difference (2 MB at n_h = 500)
+    replaces a whole-scene n_h x N one, with numpy's BLAS held at one
+    thread: the bits of h @ (D^{s+1} - D^s) moved with its thread count."""
     if len(d) < 2 or len(e) != len(d):
         raise ValueError("need coefficient/noise matrices for >= 2 views")
     h = np.asarray(h)
@@ -46,8 +42,7 @@ def score_multiview(h, d: list, e: list, height: int, width: int) -> DetectionMa
         raise ValueError("noise matrices must match the coefficient shape")
     total = np.zeros(n_pixels)
     with _one_blas_thread():
-        for a in range(0, n_pixels, _SCORE_COLUMNS):
-            cols = slice(a, a + _SCORE_COLUMNS)
+        for cols in _column_blocks(n_pixels):
             for d1, d2, e1, e2 in zip(d, d[1:], e, e[1:]):
                 total[cols] += (
                     np.linalg.norm(h @ (d2[:, cols] - d1[:, cols]), axis=0)

@@ -350,6 +350,38 @@ class TestDetect:
                  for p in tmp_path.iterdir()}
         assert after == before
 
+    def test_rerun_outputs_of_one_name_in_two_directories(self, scene,
+                                                           tmp_path):
+        # the replay keeps each output's file name and its directory apart
+        # from every other: d1/m.hdr and d2/m.hdr do not meet
+        for d in ("d1", "d2"):
+            (tmp_path / d).mkdir()
+        out = str(tmp_path / "d1" / "m.hdr")
+        trace = str(tmp_path / "d2" / "m.hdr")
+        assert main(detect_args(scene, out, ["--trace", trace])) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")
+                  if p.is_file()}
+        assert main(["rerun", out + ".manifest.json"]) == 0
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == before
+
+    def test_rerun_that_fails_at_run_time(self, scene, tmp_path, capsys):
+        # a command line that parses but that the command rejects: the
+        # replay's own exit code and message, and the originals untouched
+        out = str(tmp_path / "scores.hdr")
+        assert main(detect_args(scene, out)) == 0
+        manifest_path = Path(out + ".manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        argv = manifest["argv"]
+        argv[argv.index("--max-iter") + 1] = "0"
+        manifest_path.write_text(json.dumps(manifest))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(["rerun", str(manifest_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("smsl: ") and "max_iter" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_rerun_rejects_changed_output(self, scene, tmp_path, capsys):
         # a map and its recorded digest as a build with other rounding
         # would have written them
@@ -684,6 +716,22 @@ class TestSweep:
         assert "max_iter" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mask_of_another_size_exit_1_before_any_solve(
+            self, scene, tmp_path, monkeypatch, capsys):
+        def detect(*args, **kwargs):
+            raise AssertionError("a grid point was solved")
+
+        monkeypatch.setattr(evaluate, "detect", detect)
+        mask = str(tmp_path / "mask.pgm")
+        save_mask(cube.GroundTruthMask(10, 9, np.zeros(90, np.uint8)), mask)
+        out = tmp_path / "o.csv"
+        code = main(["sweep", *scene["cubes"], "--mask", mask,
+                     "--grid", "lambda2=1,10", "--out", str(out)])
+        assert code == 1
+        assert (f"smsl: {mask}: mask 10x9 does not match cubes 10x10"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_two_by_two_grid_rows(self, scene, tmp_path):
         out = str(tmp_path / "sweep.csv")
         code = main(["sweep", *scene["cubes"], "--mask", scene["mask"],
@@ -694,6 +742,28 @@ class TestSweep:
         lines = Path(out).read_text().splitlines()
         assert lines[0] == "lambda2,lambda3,auc"
         assert len(lines) == 5
+
+
+@pytest.mark.parametrize("command", ["detect", "baseline", "sweep"])
+def test_cubes_of_different_shapes_exit_1(tmp_path, capsys, command):
+    # an 8x8 and an 8x10 scene: bad input files, not a usage error
+    rng = np.random.default_rng(8)
+    cubes = [str(tmp_path / f"view_{i}.hdr") for i in (1, 2)]
+    for path, width in zip(cubes, (8, 10)):
+        save_cube(cube.HyperCube(4, 8, width,
+                                 rng.random((4, 8, width))), path)
+    mask = str(tmp_path / "mask.pgm")
+    save_mask(cube.GroundTruthMask(8, 8, np.eye(8, dtype=np.uint8)), mask)
+    out = str(tmp_path / "out.csv")
+    argv = {"detect": ["detect", *cubes, "--out", out],
+            "baseline": ["baseline", *cubes, "--method", "rx", "--out", out],
+            "sweep": ["sweep", *cubes, "--mask", mask, "--grid",
+                      "lambda2=1,10", "--out", out]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"smsl: {cubes[1]}: bands x height x width 4x8x10 differ from "
+        f"4x8x8 of {cubes[0]}\n")
+    assert not os.path.exists(out)
 
 
 # each writing command: its argv, given the scene, a score map and an
