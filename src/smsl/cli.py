@@ -14,11 +14,12 @@ writing no manifest of its own, and compares the sha256 of each output
 with the recorded one: exit 1 naming the first file that differs, the max
 relative deviation of the replayed score map when that file belongs to
 one, and each `env` field (a thread variable, the BLAS build, the CPUs or
-a version) whose replayed value differs from the recorded one. The
-original outputs are left as they are. A manifest that is not a JSON
-object recording `argv`, `outputs`, `input_sha256` and `output_sha256`,
-whose `argv` does not parse, or that records a rerun is not replayed: exit
-1 naming it.
+a version) whose replayed value differs from the recorded one; then exit
+1 naming the manifest and the first file that the replay writes but whose
+sha256 the manifest does not record. The original outputs are left as
+they are. A manifest that is not a JSON object recording `argv`,
+`outputs`, `input_sha256` and `output_sha256`, whose `argv` does not
+parse, or that records a rerun is not replayed: exit 1 naming it.
 
 A command that would write an output file (a score map's header or
 payload, a trace, a ROC CSV or the manifest) over one of its input files,
@@ -410,6 +411,13 @@ def cmd_rerun(args) -> dict:
                     f"recorded in {args.manifest}"
                     + _map_deviation(path, manifest["outputs"], tmp)
                     + _env_changes(manifest.get("env"), _env()))
+        recorded = {_replay_path(path, tmp) for path in expected}
+        for path in replayed:
+            if path not in recorded:
+                raise cube.FormatError(
+                    f"{args.manifest}: records no sha256 of "
+                    f"{os.sep + os.path.relpath(path, tmp)}, which the "
+                    "replay writes")
     return {}
 
 

@@ -9,17 +9,17 @@ matrices on any platform.
 
 The builders never hold a whole R: each repeat's R_j is streamed in row
 blocks of 2 MB, drawn on worker threads (one per repeat, at most one per
-available CPU) into R buffers of one block each. The blocks are drawn
-ahead: each draw goes into whichever buffer is free next, and a buffer is
-freed as soon as its block has been read, so the workers draw the next
-blocks while the calling thread sums and multiplies this one. The blocks
-are summed over the repeats in a fixed order, so the dictionary has the
-same bits whatever the number of cores. Each block, averaged over the
-repeats first for an averaged dictionary, is multiplied by its columns of
-X as soon as it is drawn, so a build holds R blocks of 2 MB and the
-dictionary, nothing the size of the scene. The products run with numpy's
-BLAS held at one thread (_one_blas_thread), since their bits depend on the
-BLAS's thread count.
+available CPU), each repeat into a buffer of its own. The blocks are drawn
+ahead: a repeat's next block is drawn as soon as its current one has been
+read, so the workers draw while the calling thread sums and multiplies.
+For an averaged dictionary the sum over the repeats is carried forward
+from each repeat's buffer into the next one's, in repeat order, so the
+dictionary has the same bits whatever the number of cores. Each block,
+averaged over the repeats first for an averaged dictionary, is multiplied
+by its columns of X as soon as it is drawn, so a build holds R blocks of
+2 MB and the dictionary, nothing the size of the scene. The products run
+with numpy's BLAS held at one thread (_one_blas_thread), since their bits
+depend on the BLAS's thread count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from collections import deque, namedtuple
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -139,22 +139,20 @@ def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
     drawn from ``default_rng(repeat_seed(seed, j))``. X is the view set's
     own stacked buffer, not a copy of it.
 
-    Each R_j is drawn in row blocks of _BLOCK_ENTRIES entries into R
-    buffers of one block: the draws are submitted in (block, repeat) order,
-    each into whichever buffer is free, and read in that order. A buffer is
-    freed as soon as its block is read, the one that holds a block's sum
-    over the repeats once that sum is multiplied, so the workers draw ahead
-    while this thread sums and multiplies. With R buffers, a repeat's next
-    block is submitted only after its last one was read: no generator is
-    drawn by two threads at once, and a block consumes its repeat's
-    generator exactly as the rows of one (S*N, n_h) draw do. The blocks are
-    summed over j in repeat order, so the result does not depend on the
-    worker count, and each takes its product with its columns of X as soon
-    as it is read. A float32 X is widened to float64 one block's columns at
-    a time, inside the product; the widening is exact, so the dictionary
-    has the bits of a float64 X with the same values. The products run on
-    one BLAS thread: at 16 x 8192 by 8192 x 500 their bits moved with the
-    count.
+    Each R_j is drawn in row blocks of _BLOCK_ENTRIES entries into its own
+    buffer ``bufs[j]``, and the blocks are read in (block, repeat) order. A
+    repeat's next block is submitted as soon as its current one has been
+    read, so the workers draw ahead while this thread sums and multiplies;
+    each generator is drawn by one thread at a time, and its blocks consume
+    it exactly as the rows of one (S*N, n_h) draw do. For an averaged
+    dictionary the sum over repeats 0..j-1 is carried forward into
+    ``bufs[j]``, so the last repeat's buffer holds the sum in repeat order
+    whatever the worker count. Each block, scaled, takes its product with
+    its columns of X as soon as it is read. A float32 X is widened to
+    float64 one block's columns at a time, inside the product; the
+    widening is exact, so the dictionary has the bits of a float64 X with
+    the same values. The products run on one BLAS thread: at 16 x 8192 by
+    8192 x 500 their bits moved with the count.
     """
     stacked = views.stacked
     n = stacked.shape[1]
@@ -164,47 +162,35 @@ def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
     rows = min(n, max(1, _BLOCK_ENTRIES // n_h))
     rngs = [np.random.default_rng(repeat_seed(cfg.seed, j))
             for j in range(repeats)]
-    free = deque(np.empty((repeats, rows, n_h)))
-    # (rows, repeat) of each draw not yet submitted, in (block, repeat)
-    # order; the submitted ones are in `drawn` with their buffers
-    todo = deque((min(rows, n - b0), j)
-                 for b0 in range(0, n, rows) for j in range(repeats))
-    drawn = deque()
+    bufs = np.empty((repeats, rows, n_h))
+    drawn = [None] * repeats  # the future of each repeat's draw
     out = np.zeros((1 if average else repeats, stacked.shape[0], n_h))
-    summed = repeats if average else 1  # drawn blocks summed per product
     scale = np.sqrt(n_h)
 
-    def release(*blks):
-        """Free blks and submit the next draws into whichever buffers are
-        free. Only the last block is ragged, so a freed buffer is never
-        shorter than the draw it is given."""
-        free.extend(blks)
-        while free and todo:
-            k, j = todo.popleft()
-            blk = free.popleft()[:k]
-            drawn.append((pool.submit(rngs[j].standard_normal, out=blk), blk))
-
-    def read():
-        """The next drawn block, in (block, repeat) order, once drawn."""
-        future, blk = drawn.popleft()
-        future.result()
-        return blk
+    def draw(j, b0):
+        """Submit repeat j's row block at b0, if there is one, into bufs[j]."""
+        if b0 < n:
+            drawn[j] = pool.submit(rngs[j].standard_normal,
+                                   out=bufs[j, :min(rows, n - b0)])
 
     with ThreadPoolExecutor(_draw_workers(repeats)) as pool, \
             _one_blas_thread():
-        release()
+        for j in range(repeats):
+            draw(j, 0)
         for b0 in range(0, n, rows):
-            for j in range(len(out)):
-                blk = read()
-                for _ in range(1, summed):
-                    part = read()
-                    blk += part
-                    release(part)
-                blk /= scale
-                if average:
-                    blk /= repeats
-                out[j] += stacked[:, b0:b0 + rows] @ blk
-                release(blk)
+            k = min(rows, n - b0)
+            for j in range(repeats):
+                drawn[j].result()
+                blk = bufs[j, :k]
+                if average and j:
+                    blk += bufs[j - 1, :k]
+                    draw(j - 1, b0 + rows)
+                if not average or j == repeats - 1:
+                    blk /= scale
+                    if average:
+                        blk /= repeats
+                    out[0 if average else j] += stacked[:, b0:b0 + rows] @ blk
+                    draw(j, b0 + rows)
     return out
 
 

@@ -402,6 +402,27 @@ class TestDetect:
         assert f"{payload}: the replay's sha256 differs" in err
         assert payload.read_bytes() == bytes(changed)
 
+    @pytest.mark.parametrize("kept", ["none", "trace"])
+    def test_rerun_rejects_an_output_the_manifest_does_not_record(
+            self, scene, tmp_path, capsys, kept):
+        # a manifest that records no digest, or only the trace's: the
+        # replay writes the map too, so it exits 1 naming the manifest and
+        # the map's header, the first output without a recorded digest
+        out = str(tmp_path / "scores.hdr")
+        trace = str(tmp_path / "trace.csv")
+        assert main(detect_args(scene, out, ["--trace", trace])) == 0
+        manifest_path = Path(out + ".manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        sums = manifest["output_sha256"]
+        manifest["output_sha256"] = {trace: sums[trace]} \
+            if kept == "trace" else {}
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(manifest_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"smsl: {manifest_path}: records no sha256 of {out}, which the "
+            "replay writes\n")
+
     def test_rerun_names_the_env_fields_that_differ(self, scene, tmp_path,
                                                     capsys):
         # a recorded digest that the replay does not reproduce, from a run

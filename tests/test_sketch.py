@@ -182,16 +182,17 @@ class TestStreamedBuild:
             results.append(sketch._sketch(vs, cfg, average))
         assert all(np.array_equal(r, results[0]) for r in results[1:])
 
-    def test_averaged_dictionary_matches_its_oracle(self):
+    @pytest.mark.parametrize("repeats", [1, 2, 3])
+    def test_averaged_dictionary_matches_its_oracle(self, repeats):
         # the real block size: n_h = 1000 gives 262-row blocks, so
         # S*N = 1100 takes 5 blocks, the last of 52 rows. Each block of
         # mean_j R_j is its repeats' normals summed in repeat order, divided
         # by sqrt(n_h) and then by R, and the dictionary the sum of the
-        # blocks' products in block order
+        # blocks' products in block order; at R = 1 no sum is carried
         rng = np.random.default_rng(16)
         vs = ViewSet(tuple(HyperCube(3, 22, 25, rng.standard_normal(1650))
                            for _ in range(2)))
-        cfg = SketchConfig(n_h=1000, seed=9, repeats=3)
+        cfg = SketchConfig(n_h=1000, seed=9, repeats=repeats)
         draws = [normals(1100, 1000, repeat_seed(cfg.seed, j))
                  for j in range(cfg.repeats)]
         h = np.zeros((3, 1000))
