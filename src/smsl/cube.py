@@ -181,7 +181,12 @@ def output_files(header_path: str) -> list:
 
 def _save(header_path: str, magic: str, bands: int, height: int, width: int,
           data: np.ndarray) -> None:
-    """Write a header and the raw f32 payload it names (output_files)."""
+    """Write a header and the raw f32 payload it names (output_files), or
+    neither when a value exceeds float32's range: a FormatError."""
+    with np.errstate(over="ignore"):
+        f32 = np.ascontiguousarray(data, dtype="<f4")
+    if not np.isfinite(f32).all():
+        raise FormatError(f"{header_path}: a value exceeds the float32 range")
     payload = output_files(header_path)[1]
     lines = [f"magic={magic}", f"version={FORMAT_VERSION}", f"bands={bands}",
              f"height={height}", f"width={width}", "dtype=f32", "layout=bsq",
@@ -189,7 +194,7 @@ def _save(header_path: str, magic: str, bands: int, height: int, width: int,
     with open(header_path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(payload, "wb") as fh:
-        fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        fh.write(f32.tobytes())
 
 
 def _read_header(path: str, expected_magic: str) -> dict:

@@ -83,9 +83,10 @@ class SynthSpec:
             raise ValueError("need at least 2 views")
         if self.n_anomalies >= self.height * self.width:
             raise ValueError("n_anomalies must be below the pixel count")
-        if not (self.n_anomalies >= 0 and self.anomaly_magnitude >= 0
-                and self.noise_sigma >= 0):  # NaN fails each
-            raise ValueError("counts and scales must be nonnegative")
+        if not (self.n_anomalies >= 0
+                and 0 <= self.anomaly_magnitude < np.inf
+                and 0 <= self.noise_sigma < np.inf):  # NaN fails each
+            raise ValueError("counts and scales must be finite and nonnegative")
         if self.n_endmembers < 1 or self.bands < 1:
             raise ValueError("need at least one endmember and one band")
 

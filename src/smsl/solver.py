@@ -23,9 +23,9 @@ the D^s system never have n_h rows: D^s = max(U(w z + (w - 1/a) U'p) + p/a,
 0) by Woodbury, with U'p from the U'D^t, and the fit is X^s - (HU)(c +
 U'D^s). solve() carries each U'D^s from one iteration to the next: a D^s
 step writes it, the next C step reads it, and nothing between them moves
-D^s. A block then takes 2S + 1 products with an n_h-row operand: per view
-U z and U'D^s after its step, and U c for max |C|. With n_h <= L+1,
-r = n_h (see _Gram) and the carried coordinates are D^s itself.
+D^s. Per block, pass A (below) takes 2S products with an n_h-row operand,
+per view U z and U'D^s after its step, and pass B one, U(C - J). With
+n_h <= L+1, r = n_h (see _Gram) and the carried coordinates are D^s itself.
 The clip np.maximum(x, 0.0) gives every entry of D^s as +0.0 or more
 (never -0.0), so D^t is |D^t| bit for bit and the D^s penalty reads the
 D^t as they are, with no |D^t| copy; update_d, which takes a state from
@@ -53,8 +53,8 @@ of q_s = H'(X^s - E^s + Y1^s/mu) feed both the C and the D^s steps, and
 the fit both E^s and the data-fit gap. A view whose W_k and W_{k-1} hold
 no column has no W term, and pass A skips its W bookkeeping. J feeds none
 of these steps, so the calling thread decides it after pass A, from the
-block sums of ||C + Y4/mu||_F^2; pass B then takes the C-J gap (while J is
-zero, pass A's max |C|) and the ascent on Y4. SolveResult.timings holds
+block sums of ||C + Y4/mu||_F^2; pass B then takes the C-J gap over the
+n_h-row entries U(C - J) and the ascent on Y4. SolveResult.timings holds
 the seconds of pass A, the J step and pass B on the calling thread, and
 of the rest of the solve.
 The residuals double as the finiteness check. The column-sum gap r3 sees
@@ -463,12 +463,11 @@ def _gap_block(state, s, colsum, fit, w, cols) -> tuple:
     return w_new, (r1, _max_abs(gap), r3)
 
 
-def _cj_block(state, cols, j_zero=False):
+def _cj_block(state, cols) -> float:
     """The ascent on Y4 by mu (C - J) in place, and the max-abs C-J gap
-    over the block's n_h-row entries (None while J is zero: pass A took
-    max |C| then)."""
-    gap = state.c[:, cols] if j_zero else state.c[:, cols] - state.j[:, cols]
-    r = None if j_zero else _max_abs(_expand(state.basis, gap))
+    over the block's n_h-row entries U(C - J)."""
+    gap = state.c[:, cols] - state.j[:, cols]
+    r = _max_abs(_expand(state.basis, gap))
     state.y4[:, cols] += state.mu * gap
     return r
 
@@ -481,9 +480,9 @@ def _pass_a(xs, gram, inv_c, inv_d, state, dcs, w_old, ratio, lambda3,
     holds each view's coordinates U'D^s as last updated, and each D step
     writes its view's; w_old holds each W_{k-1} as (column indices,
     values) and ratio is mu_k/mu. Returns (||C + Y4/mu||_F^2 per piece of
-    _BLOCK_COLUMNS columns, r1, r2, r3, max |C|, the next W^s of each view
-    as block-local (indices, values)); the pieces keep the sums, and so
-    the J step, the same whatever the block width."""
+    _BLOCK_COLUMNS columns, r1, r2, r3, the next W^s of each view as
+    block-local (indices, values)); the pieces keep the sums, and so the J
+    step, the same whatever the block width."""
     mu = state.mu
     qs = [_q_block(gram, state, x, s, cols) for s, x in enumerate(xs)]
     ds = [dc[:, cols] for dc in dcs]
@@ -515,10 +514,9 @@ def _pass_a(xs, gram, inv_c, inv_d, state, dcs, w_old, ratio, lambda3,
         r = np.maximum(r, gaps)
     m = state.y4[:, cols] / mu
     m += coords
-    c_max = _max_abs(_expand(state.basis, coords))
     pieces = (m[:, a:a + _BLOCK_COLUMNS]
               for a in range(0, m.shape[1], _BLOCK_COLUMNS))
-    return ([float(np.vdot(p, p)) for p in pieces], *r, c_max, w_new)
+    return ([float(np.vdot(p, p)) for p in pieces], *r, w_new)
 
 
 def _join_blocks(blocks, parts) -> tuple:
@@ -622,7 +620,7 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
                              blocks))
             w_old, mu_old = list(zip(state.w_cols, state.w)), mu
             state.w_cols, state.w = _join_blocks(blocks,
-                                                 [p[5] for p in parts])
+                                                 [p[4] for p in parts])
             w_nonzero = [max(n, len(i))
                          for n, i in zip(w_nonzero, state.w_cols)]
             # block sums are combined in block order, whatever the workers
@@ -635,16 +633,15 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
             # coordinates are the SVT of M's. ||U'M||_F = ||M||_F, so at or
             # below the threshold J is zero (np.zeros: pages never written).
             tau = cfg.lambda1 / mu
-            j_zero = np.sqrt(m2) <= tau
-            if j_zero:
+            if np.sqrt(m2) <= tau:
                 state.j = np.zeros(state.c.shape)
             else:
                 state.j = svt(state.c + state.y4 / mu, tau)
                 svt_iterations += bool(state.j.any())
             t2 = perf_counter()
-            gaps = list(run(partial(_cj_block, state, j_zero=j_zero), blocks))
+            gaps = list(run(partial(_cj_block, state), blocks))
             seconds[:3] += (t1 - t0, t2 - t1, perf_counter() - t2)
-            r4 = float(np.max([p[4] for p in parts] if j_zero else gaps))
+            r4 = float(np.max(gaps))
             if not np.isfinite(r4):
                 _check_finite(state, it)
             r = (*map(float, r), r4)

@@ -686,11 +686,24 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag", ["--magnitude", "--noise"])
     def test_nan_scale_exit_2(self, tmp_path, capsys, flag):
-        code = main(["synth", "--out-dir", str(tmp_path / "s"),
-                     "--height", "12", "--width", "12", flag, "nan"])
-        assert code == 2
-        assert "nonnegative" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        for value in ("nan", "inf"):
+            code = main(["synth", "--out-dir", str(tmp_path / "s"),
+                         "--height", "12", "--width", "12", flag, value])
+            assert code == 2
+            assert "nonnegative" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())
+
+    def test_magnitude_beyond_float32_exit_1(self, tmp_path, capsys):
+        # finite in float64, inf in the float32 payload: the anomalies are
+        # planted in the second view
+        out_dir = tmp_path / "s"
+        code = main(["synth", "--out-dir", str(out_dir), "--height", "12",
+                     "--width", "12", "--magnitude", "1e39"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{out_dir / 'view_2.hdr'}: a value exceeds the float32 " \
+            "range" in err
+        assert sorted(os.listdir(out_dir)) == ["view_1.hdr", "view_1.raw"]
 
     def test_infeasible_spec_exit_2(self, tmp_path, capsys):
         code = main(["synth", "--out-dir", str(tmp_path / "s"),

@@ -99,6 +99,20 @@ def test_cube_round_trip_zero(tmp_path):
     assert np.array_equal(load_cube(str(tmp_path / "z.hdr")).data, c.data)
 
 
+@pytest.mark.parametrize("kind", ["cube", "scores"])
+def test_save_refuses_a_value_beyond_float32(tmp_path, kind):
+    # finite in float64, inf once cast: neither file is written
+    data = np.array([1.0, 1e39])
+    path = str(tmp_path / "x.hdr")
+    with pytest.raises(FormatError) as exc:
+        if kind == "cube":
+            save_cube(HyperCube(1, 1, 2, data), path)
+        else:
+            save_scores(DetectionMap(1, 2, data), path)
+    assert str(exc.value) == f"{path}: a value exceeds the float32 range"
+    assert not list(tmp_path.iterdir())
+
+
 def test_save_cube_unwritable():
     c = HyperCube(1, 1, 1, [0.0])
     with pytest.raises(OSError):

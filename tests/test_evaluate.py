@@ -131,8 +131,9 @@ class TestSynthScene:
 
     @pytest.mark.parametrize("name", ["anomaly_magnitude", "noise_sigma"])
     def test_nan_scale_rejected(self, name):
-        with pytest.raises(ValueError):
-            SynthSpec(**{name: float("nan")})
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                SynthSpec(**{name: value})
 
 
 def tiny_cfg():

@@ -398,9 +398,9 @@ def dense_reference_solve(xs, h, cfg):
     updates in its Gauss-Seidel order: C and each D^s by np.linalg.solve
     with G = H'H + 11', J by the SVT of the full n_h x N matrix, E^s in
     closed form, W^s by l2,1 shrinkage, then the gaps, the dual ascent and
-    the mu step. Y3^s and W^s are explicit and dense, and w_support
-    records the nonzero W^s columns of each view per iteration. Shares only
-    svt and l21_shrink with the solver."""
+    the mu step. Y3^s and W^s are explicit and dense; residuals records
+    (r1, r2, r3, r4) and w_support the nonzero W^s columns of each view per
+    iteration. Shares only svt and l21_shrink with the solver."""
     n_views, n_h, n_pixels = len(xs), h.shape[1], xs[0].shape[1]
     g = h.T @ h + np.ones((n_h, n_h))
     eye = np.eye(n_h)
@@ -410,7 +410,7 @@ def dense_reference_solve(xs, h, cfg):
         e=[np.zeros_like(x) for x in xs], w=[np.zeros_like(x) for x in xs],
         y1=[np.zeros_like(x) for x in xs], y2=[np.zeros(n_pixels) for _ in xs],
         y3=[np.zeros_like(x) for x in xs], y4=np.zeros((n_h, n_pixels)),
-        mu=cfg.mu0, history=[], w_support=[])
+        mu=cfg.mu0, residuals=[], w_support=[])
     for _ in range(cfg.max_iter):
         mu = st.mu
         b = st.j - st.y4 / mu
@@ -432,7 +432,7 @@ def dense_reference_solve(xs, h, cfg):
             st.w[s] = l21_shrink(st.e[s] + st.y3[s] / mu, 1.0 / mu)
         r = gaps_then_ascent(st, xs, h)
         st.mu = min(cfg.rho * mu, cfg.mu_max)
-        st.history.append(max(r))
+        st.residuals.append(r)
         st.w_support.append([set(np.flatnonzero(w.any(axis=0)))
                              for w in st.w])
         if max(r) < cfg.epsilon:
@@ -459,6 +459,16 @@ def assert_rel_close(got, expected, rtol):
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.shape == expected.shape
     assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+
+def assert_same_residuals(result, ref, rtol):
+    """Each of r1..r4 per iteration, and their max, as the reference's."""
+    got = np.array([row[1:5] for row in result.trace])
+    expected = np.array(ref.residuals)
+    assert got.shape == expected.shape
+    for i in range(4):
+        assert_rel_close(got[:, i], expected[:, i], rtol)
+    assert_rel_close(result.residual_history, expected.max(axis=1), rtol)
 
 
 ACTIVE_SVT = SolverConfig(lambda1=0.05, mu0=0.5, rho=1.3, max_iter=25)
@@ -500,7 +510,7 @@ class TestSolve:
             for name in ("d", "e", "w", "y1"):
                 assert_rel_close(getattr(got, name)[s],
                                  getattr(ref, name)[s], 1e-9)
-        assert_rel_close(result.residual_history, ref.history, 1e-9)
+        assert_same_residuals(result, ref, 1e-9)
 
     def test_sparse_w_matches_dense_reference(self, monkeypatch):
         # a few outlier columns on a well-fit scene: W^s is nonzero on some
@@ -533,7 +543,7 @@ class TestSolve:
             for name in ("d", "e", "w", "y1"):
                 assert_rel_close(getattr(got, name)[s],
                                  getattr(ref, name)[s], 1e-9)
-        assert_rel_close(result.residual_history, ref.history, 1e-9)
+        assert_same_residuals(result, ref, 1e-9)
         assert result.w_nonzero_columns == [
             max(len(it[s]) for it in ref.w_support) for s in range(2)]
 
@@ -575,14 +585,14 @@ class TestSolve:
             for name in ("d", "e", "w", "y1"):
                 assert_rel_close(getattr(got, name)[s],
                                  getattr(ref, name)[s], 1e-9)
-        assert_rel_close(results[0].residual_history, ref.history, 1e-9)
+        assert_same_residuals(results[0], ref, 1e-9)
         assert results[0].w_nonzero_columns[1:] == [0] * (n_views - 1)
 
     @pytest.mark.parametrize("n_views", [2, 3])
     def test_pass_a_products_with_n_h_rows(self, monkeypatch, n_views):
-        # r = 5 < n_h = 9: per block and iteration, each view's U z and
-        # U'D^s after its step, then U c; U'D^s before the C step is the
-        # one carried from the last iteration
+        # r = 5 < n_h = 9: per block and iteration, pass A takes each
+        # view's U z and U'D^s after its step (U'D^s before the C step is
+        # the one carried from the last iteration) and pass B U(C - J)
         calls = []
 
         class CountedBasis(np.ndarray):
@@ -600,24 +610,26 @@ class TestSolve:
             init(gram, h)
             gram.u = gram.basis = gram.u.view(CountedBasis)
 
-        passes = []
-        pass_a = solver_mod._pass_a
+        passes = {"_pass_a": [], "_cj_block": []}
+        for name, seen in passes.items():
+            fn = getattr(solver_mod, name)
 
-        def counted_pass_a(*args):
-            before = len(calls)
-            result = pass_a(*args)
-            passes.append(len(calls) - before)
-            return result
+            def counted(*args, fn=fn, seen=seen):
+                before = len(calls)
+                result = fn(*args)
+                seen.append(len(calls) - before)
+                return result
 
+            monkeypatch.setattr(solver_mod, name, counted)
         monkeypatch.setattr(solver_mod._Gram, "__init__", counted_init)
-        monkeypatch.setattr(solver_mod, "_pass_a", counted_pass_a)
         monkeypatch.setattr(solver_mod, "_BLOCK_COLUMNS", 6)
         rng = np.random.default_rng(44)
         xs = [rng.standard_normal((4, 30)) for _ in range(n_views)]
         result = solve(xs, rng.standard_normal((4, 9)),
                        SolverConfig(max_iter=3))
         assert result.state.basis.shape == (9, 5)
-        assert passes == [2 * n_views + 1] * (3 * 5)
+        assert passes == {"_pass_a": [2 * n_views] * (3 * 5),
+                          "_cj_block": [1] * (3 * 5)}
 
     @pytest.mark.parametrize("cfg,svt_runs", [
         (SolverConfig(), False), (ACTIVE_SVT, True),
