@@ -23,6 +23,8 @@ class CovModel:
     def __post_init__(self):
         if not self.ridge >= 0:  # NaN fails it
             raise ValueError("ridge must be nonnegative")
+        if self.ridge == np.inf:
+            raise ValueError("ridge must be finite")
 
     @property
     def regularized(self) -> np.ndarray:

@@ -47,8 +47,7 @@ import numpy as np
 from . import __version__, baselines, cube, solver
 from .detector import DetectorConfig, detect_with_result
 from .evaluate import DETECTOR_PARAMS, SWEEP_PARAMS, SynthSpec, \
-    apply_params, configure, grid_points, roc, synth_scene, sweep, \
-    write_roc_csv, write_sweep_csv
+    configure, roc, synth_scene, sweep, write_roc_csv, write_sweep_csv
 from .sketch import AVERAGE_MODES, _available_cpus
 
 # the BLAS thread variables that the manifest's env block records
@@ -65,11 +64,6 @@ _SYNTH_FLAGS = {
 
 def _default(group: str, fld: str):
     return getattr(getattr(DetectorConfig(), group), fld)
-
-
-# sweep parameters whose default is an integer take integer grid values
-_INT_PARAMS = {name for name, (group, fld) in SWEEP_PARAMS.items()
-               if isinstance(_default(group, fld), int)}
 
 
 def _dest(flag: str) -> str:
@@ -265,7 +259,9 @@ def cmd_synth(args) -> dict:
 
 
 def parse_grid(text: str) -> dict:
-    """Parse "lambda2=0.1,1,10;lambda3=1,10" into {name: [values]}."""
+    """Parse "lambda2=0.1,1,10;lambda3=1,10" into {name: [values]}, each
+    value of the type of its parameter's default; a ValueError for an
+    unknown or repeated name or a value that does not parse."""
     grid = {}
     for part in text.split(";"):
         part = part.strip()
@@ -275,9 +271,13 @@ def parse_grid(text: str) -> dict:
             raise ValueError(f"malformed grid entry {part!r}")
         name, values = part.split("=", 1)
         name = name.strip()
-        caster = int if name in _INT_PARAMS else float
+        if name not in SWEEP_PARAMS:
+            raise ValueError(f"unknown sweep parameter {name!r}")
+        if name in grid:
+            raise ValueError(f"sweep parameter {name!r} is given twice")
+        kind = type(_default(*SWEEP_PARAMS[name]))  # as its flag's type
         try:
-            grid[name] = [caster(v) for v in values.split(",") if v.strip()]
+            grid[name] = [kind(v) for v in values.split(",") if v.strip()]
         except ValueError:
             raise ValueError(f"malformed grid values for {name!r}") from None
     return grid
@@ -286,14 +286,14 @@ def parse_grid(text: str) -> dict:
 def cmd_sweep(args) -> dict:
     grid = parse_grid(args.grid)
     base_cfg = _detector_config(args)
-    # every point is checked before the first one is solved
-    for params in grid_points(grid):
-        apply_params(base_cfg, params)
     views, mask = _load_views(args.cubes), cube.load_mask(args.mask)
     if (mask.height, mask.width) != (views.height, views.width):
         raise cube.FormatError(
             f"{args.mask}: mask {mask.height}x{mask.width} does not match "
             f"cubes {views.height}x{views.width}")
+    if mask.labels.min() == mask.labels.max():
+        raise cube.FormatError(f"{args.mask}: mask must contain both "
+                               "positive and negative pixels")
     rows = sweep(views, mask, base_cfg, grid)
     write_sweep_csv(rows, args.out)
     return {}

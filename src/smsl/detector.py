@@ -10,7 +10,7 @@ import numpy as np
 
 from .cube import DetectionMap, ViewSet
 from .sketch import SketchConfig, _draw_workers, _one_blas_thread, \
-    build_dictionaries, build_dictionary
+    build_dictionaries
 from .solver import _PASSES, SolverConfig, _column_blocks, solve
 
 
@@ -51,9 +51,9 @@ def score_multiview(h, d: list, e: list, height: int, width: int) -> DetectionMa
 
 
 def detect(views: ViewSet, cfg: DetectorConfig = DetectorConfig()) -> DetectionMap:
-    """Full pipeline. average_mode="dictionary" averages the sketched
-    dictionaries and runs one solve; "scores" runs one solve per repeat and
-    averages the resulting maps."""
+    """Full pipeline: one solve and one map per dictionary of
+    :func:`build_dictionaries`, and the mean of the maps. That is one solve
+    under average_mode="dictionary" and one per repeat under "scores"."""
     return detect_with_result(views, cfg)[0]
 
 
@@ -68,10 +68,7 @@ def detect_with_result(views: ViewSet, cfg: DetectorConfig):
     draws, and the `trace` of the last solve."""
     height, width = views.height, views.width
     start = perf_counter()
-    if cfg.sketch.average_mode == "scores":
-        dictionaries = build_dictionaries(views, cfg.sketch)
-    else:
-        dictionaries = [build_dictionary(views, cfg.sketch)]
+    dictionaries = build_dictionaries(views, cfg.sketch)
     maps = []
     conv = {"solves": 0, "converged": True, "iterations_run": 0,
             "svt_iterations": 0, "final_max_residual": 0.0,

@@ -179,12 +179,12 @@ def sweep(views: ViewSet, mask: GroundTruthMask, base_cfg: DetectorConfig,
           grid: dict) -> list:
     """Evaluate detect() over the cartesian grid, one point after another;
     rows in lexicographic order of the (sorted) parameter names, values in
-    the order listed."""
-    rows = []
-    for params in grid_points(grid):
-        scores = detect(views, apply_params(base_cfg, params))
-        rows.append({**params, "auc": roc(scores, mask).auc})
-    return rows
+    the order listed. Every point's config is built, and so checked, before
+    the first point is solved."""
+    points = grid_points(grid)
+    cfgs = [apply_params(base_cfg, params) for params in points]
+    return [{**params, "auc": roc(detect(views, cfg), mask).auc}
+            for params, cfg in zip(points, cfgs)]
 
 
 def write_roc_csv(curve: RocCurve, path: str) -> None:

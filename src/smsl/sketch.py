@@ -1,10 +1,12 @@
 """Random-projection dictionary built from the concatenated views.
 
-The dictionary is the float64 L x n_h array ``H = [X^1, ..., X^S] R``,
+A dictionary is the float64 L x n_h array ``H = [X^1, ..., X^S] R``,
 where R has i.i.d. N(0, 1/n_h) entries; the solver and the scoring take it
-as is. ``[X^1, ..., X^S]`` is the ViewSet's stacked buffer, float32 for
-loaded cubes, so the scene is not copied to build H. Sampling uses numpy's
-PCG64 generator (ziggurat standard normals), so equal seeds reproduce equal
+as is. A detect solves with the one ``X mean_j R_j`` over the R repeats
+(average_mode "dictionary") or with one ``X R_j`` per repeat ("scores").
+``[X^1, ..., X^S]`` is the ViewSet's stacked buffer, float32 for loaded
+cubes, so the scene is not copied to build H. Sampling uses numpy's PCG64
+generator (ziggurat standard normals), so equal seeds reproduce equal
 matrices on any platform.
 
 The builders never hold a whole R: each repeat's R_j is streamed in row
@@ -132,12 +134,13 @@ def _draw_workers(repeats: int) -> int:
     return min(repeats, _available_cpus())
 
 
-def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
-    """``X R_j`` for every repeat j (one row each), or with ``average`` the
-    single ``X mean_j R_j``, where X stacks the views side by side and
-    R_j is the (S*N) x n_h matrix ``standard_normal((S*N, n_h)) / sqrt(n_h)``
-    drawn from ``default_rng(repeat_seed(seed, j))``. X is the view set's
-    own stacked buffer, not a copy of it.
+def _sketch(views: ViewSet, cfg: SketchConfig) -> np.ndarray:
+    """``X R_j`` for every repeat j (one row each) under average_mode
+    "scores", or under "dictionary" the single ``X mean_j R_j``, where X
+    stacks the views side by side and R_j is the (S*N) x n_h matrix
+    ``standard_normal((S*N, n_h)) / sqrt(n_h)`` drawn from
+    ``default_rng(repeat_seed(seed, j))``. X is the view set's own stacked
+    buffer, not a copy of it.
 
     Each R_j is drawn in row blocks of _BLOCK_ENTRIES entries into its own
     buffer ``bufs[j]``, and the blocks are read in (block, repeat) order. A
@@ -157,6 +160,7 @@ def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
     stacked = views.stacked
     n = stacked.shape[1]
     n_h, repeats = cfg.n_h, cfg.repeats
+    average = cfg.average_mode == "dictionary"
     if n_h > n:
         raise ValueError(f"n_h={n_h} exceeds total sample count {n}")
     rows = min(n, max(1, _BLOCK_ENTRIES // n_h))
@@ -195,18 +199,17 @@ def _sketch(views: ViewSet, cfg: SketchConfig, average: bool) -> np.ndarray:
 
 
 def build_dictionaries(views: ViewSet, cfg: SketchConfig) -> list:
-    """One dictionary per repeat j, from the derived seed
-    ``repeat_seed(cfg.seed, j)``."""
-    return list(_sketch(views, cfg, average=False))
+    """The dictionaries a detect solves with: under average_mode
+    "dictionary" the one ``X mean_j R_j``, under "scores" one ``X R_j``
+    per repeat j, from the derived seed ``repeat_seed(cfg.seed, j)``."""
+    return list(_sketch(views, cfg))
 
 
 def build_dictionary(views: ViewSet, cfg: SketchConfig) -> np.ndarray:
-    """The dictionary used by a single solve.
-
-    For average_mode="dictionary" this is ``X mean_j R_j``, the mean of the
-    per-repeat dictionaries up to rounding, from one product per row block;
-    for average_mode="scores" averaging happens over detection maps
-    instead, so each solve should use one entry of
-    :func:`build_dictionaries`.
-    """
-    return _sketch(views, cfg, average=True)[0]
+    """``X mean_j R_j``, the mean of the per-repeat dictionaries up to
+    rounding, from one product per row block. A ValueError under
+    average_mode="scores", which solves with no averaged dictionary."""
+    if cfg.average_mode != "dictionary":
+        raise ValueError("build_dictionary averages the repeats, but "
+                         f"average_mode is {cfg.average_mode!r}")
+    return _sketch(views, cfg)[0]

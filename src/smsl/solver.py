@@ -111,6 +111,9 @@ class SolverConfig:
         # each check written so that NaN fails it
         if not all(w >= 0 for w in (self.lambda1, self.lambda2, self.lambda3)):
             raise ValueError("lambda weights must be nonnegative")
+        # lambda1, lambda2 = inf keep J, D at zero; lambda3 = inf gives NaN D
+        if self.lambda3 == np.inf:
+            raise ValueError("lambda3 must be finite")
         if not (0 < self.mu0 <= self.mu_max):
             raise ValueError("need 0 < mu0 <= mu_max")
         if not self.rho >= 1:
@@ -599,6 +602,7 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
         gram = _Gram(h)
         state = init_state(n_views, n_bands, n_pixels, n_h, cfg.mu0,
                            gram.basis)
+        zero_j = state.j
         inv_c = gram.coords_inverse(1.0, n_views)
         # each view's coordinates U'D^s, written by its D step and read by
         # the next iteration's C step; with r = n_h they are D^s itself
@@ -631,10 +635,10 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
             t1 = perf_counter()
             # M = C + Y4/mu lies in range(U), so its SVT is U svt(U'M): J's
             # coordinates are the SVT of M's. ||U'M||_F = ||M||_F, so at or
-            # below the threshold J is zero (np.zeros: pages never written).
+            # below the threshold J is zero (init_state's J; nothing writes J).
             tau = cfg.lambda1 / mu
             if np.sqrt(m2) <= tau:
-                state.j = np.zeros(state.c.shape)
+                state.j = zero_j
             else:
                 state.j = svt(state.c + state.y4 / mu, tau)
                 svt_iterations += bool(state.j.any())

@@ -130,7 +130,7 @@ class TestCommon:
         with pytest.raises(ValueError):
             rx_difference(ViewSet((c, c, c)))
 
-    @pytest.mark.parametrize("ridge", [-1.0, float("nan")])
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
     def test_fit_cov_rejects_a_ridge_below_zero_or_nan(self, ridge):
         rng = np.random.default_rng(13)
         with pytest.raises(ValueError, match="ridge"):

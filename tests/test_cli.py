@@ -125,6 +125,13 @@ class TestDetect:
         assert "smsl: " in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_inf_lambda3_usage_error(self, scene, tmp_path, capsys):
+        code = main(detect_args(scene, str(tmp_path / "s.hdr"))
+                    + ["--lambda3", "inf"])
+        assert code == 2
+        assert "smsl: lambda3 must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_max_iter_zero_rejected(self, scene, tmp_path, capsys):
         code = main(detect_args(scene, str(tmp_path / "s.hdr"))
                     + ["--max-iter", "0"])
@@ -604,6 +611,14 @@ class TestBaseline:
         assert "ridge must be nonnegative" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("method", ["rx", "cc", "ce"])
+    def test_inf_ridge_usage_error(self, scene, tmp_path, capsys, method):
+        code = main(["baseline", *scene["cubes"], "--method", method,
+                     "--ridge", "inf", "--out", str(tmp_path / "x.hdr")])
+        assert code == 2
+        assert "smsl: ridge must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_method(self, scene, tmp_path, capsys):
         code = main(["baseline", *scene["cubes"], "--method", "kernel",
                      "--out", str(tmp_path / "x.hdr")])
@@ -721,6 +736,8 @@ class TestSweep:
         assert grid == {"max_iter": [5], "repeats": [2], "seed": [3],
                         "mu0": [1.0]}
         assert [type(v[0]) for v in grid.values()] == [int, int, int, float]
+        with pytest.raises(ValueError, match="'lambda2' is given twice"):
+            parse_grid("lambda2=1;lambda2=10")
 
     def test_malformed_grid_exit_2(self, scene, tmp_path, monkeypatch,
                                    capsys):
@@ -764,6 +781,22 @@ class TestSweep:
         assert code == 1
         assert (f"smsl: {mask}: mask 10x9 does not match cubes 10x10"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_one_class_mask_exit_1_before_any_solve(
+            self, scene, tmp_path, monkeypatch, capsys):
+        def detect(*args, **kwargs):
+            raise AssertionError("a grid point was solved")
+
+        monkeypatch.setattr(evaluate, "detect", detect)
+        mask = str(tmp_path / "mask.pgm")
+        save_mask(cube.GroundTruthMask(10, 10, np.zeros(100, np.uint8)), mask)
+        out = tmp_path / "o.csv"
+        code = main(["sweep", *scene["cubes"], "--mask", mask,
+                     "--grid", "lambda2=1,10", "--out", str(out)])
+        assert code == 1
+        assert (f"smsl: {mask}: mask must contain both positive and "
+                "negative pixels" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_two_by_two_grid_rows(self, scene, tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smsl import evaluate
 from smsl.baselines import rx_difference
 from smsl.cube import DetectionMap, GroundTruthMask
 from smsl.detector import DetectorConfig, detect
@@ -157,6 +158,16 @@ class TestSweep:
                      {"lambda2": [1.0, 10.0], "lambda3": [1.0, 10.0]})
         combos = [(r["lambda2"], r["lambda3"]) for r in rows]
         assert combos == [(1.0, 1.0), (1.0, 10.0), (10.0, 1.0), (10.0, 10.0)]
+
+    def test_bad_later_point_raises_before_any_detect(self, monkeypatch):
+        views, mask = synth_scene(SynthSpec(height=8, width=8, bands=6,
+                                            n_anomalies=3, seed=5))
+        calls = []
+        monkeypatch.setattr(evaluate, "detect",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="max_iter"):
+            sweep(views, mask, tiny_cfg(), {"max_iter": [10, 0]})
+        assert calls == []
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):

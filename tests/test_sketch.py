@@ -1,6 +1,7 @@
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,11 +78,22 @@ def test_dictionary_averaging_is_elementwise_mean():
     vs = _views(rng)
     cfg = SketchConfig(n_h=5, seed=3, repeats=2, average_mode="dictionary")
     h = build_dictionary(vs, cfg)
-    singles = build_dictionaries(vs, cfg)
+    singles = build_dictionaries(vs, replace(cfg, average_mode="scores"))
     assert len(singles) == 2
     # X mean_j(R_j) equals the mean of the X R_j up to rounding
     assert np.allclose(h, (singles[0] + singles[1]) / 2,
                        atol=0, rtol=1e-12)
+
+
+def test_build_dictionaries_follow_the_average_mode():
+    # a dictionary-mode detect solves with the one averaged dictionary; a
+    # scores-mode config has no averaged dictionary to build
+    vs = _views(np.random.default_rng(4))
+    cfg = SketchConfig(n_h=5, seed=3, repeats=2, average_mode="dictionary")
+    [h] = build_dictionaries(vs, cfg)
+    assert np.array_equal(h, build_dictionary(vs, cfg))
+    with pytest.raises(ValueError, match="average_mode is 'scores'"):
+        build_dictionary(vs, replace(cfg, average_mode="scores"))
 
 
 def test_repeat_seed_zero_is_identity():
@@ -179,7 +191,7 @@ class TestStreamedBuild:
         results = []
         for workers in (1, 2, cfg.repeats):
             monkeypatch.setattr(sketch, "_draw_workers", lambda r, w=workers: w)
-            results.append(sketch._sketch(vs, cfg, average))
+            results.append(sketch._sketch(vs, cfg))
         assert all(np.array_equal(r, results[0]) for r in results[1:])
 
     @pytest.mark.parametrize("repeats", [1, 2, 3])
@@ -218,7 +230,7 @@ class TestStreamedBuild:
         vs = _views(np.random.default_rng(17))
         cfg = SketchConfig(n_h=5, seed=4, repeats=4,
                            average_mode="dictionary" if average else "scores")
-        expected = sketch._sketch(vs, cfg, average)
+        expected = sketch._sketch(vs, cfg)
         repeat_of = {repeat_seed(cfg.seed, j): j for j in range(cfg.repeats)}
         rows = [[] for _ in range(cfg.repeats)]
         running = [0] * cfg.repeats
@@ -243,7 +255,7 @@ class TestStreamedBuild:
 
         monkeypatch.setattr(np.random, "default_rng", Logged)
         monkeypatch.setattr(sketch, "_draw_workers", lambda r: workers)
-        assert np.array_equal(sketch._sketch(vs, cfg, average), expected)
+        assert np.array_equal(sketch._sketch(vs, cfg), expected)
         assert overlaps == []
         assert rows == [[4] * 7 + [2]] * cfg.repeats
 

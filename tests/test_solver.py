@@ -99,6 +99,13 @@ class TestConfig:
         # lambda1 = inf keeps J at zero; mu_max = inf puts no cap on mu
         SolverConfig(lambda1=float("inf"), mu_max=float("inf"))
 
+    def test_inf_lambda3_rejected(self):
+        # the D step would weigh the zero start of D by inf, which gives
+        # NaN; lambda2 = inf, which forces D to zero, stays accepted
+        SolverConfig(lambda2=float("inf"))
+        with pytest.raises(ValueError, match="lambda3 must be finite"):
+            SolverConfig(lambda3=float("inf"))
+
 
 class TestUpdateC:
     def test_scalar_hand_case(self):
