@@ -9,9 +9,6 @@ import numpy as np
 
 from .cube import DetectionMap, ViewSet
 
-METHODS = ("rx", "cc", "ce")
-
-
 @dataclass(frozen=True)
 class CovModel:
     """Sample mean/covariance (1/N normalization) with a diagonal ridge."""
@@ -112,11 +109,14 @@ def covariance_equalization(views: ViewSet, ridge=None) -> DetectionMap:
     return _as_map(views, np.einsum("ij,ij->j", resid, resid))
 
 
+# method name -> detector: the one list of the baseline methods
+_DETECTORS = {"rx": rx_difference, "cc": chronochrome,
+              "ce": covariance_equalization}
+METHODS = tuple(_DETECTORS)
+
+
 def run_baseline(method: str, views: ViewSet, ridge=None) -> DetectionMap:
-    if method == "rx":
-        return rx_difference(views, ridge)
-    if method == "cc":
-        return chronochrome(views, ridge)
-    if method == "ce":
-        return covariance_equalization(views, ridge)
-    raise ValueError(f"unknown baseline method {method!r}; use rx, cc or ce")
+    if method not in _DETECTORS:
+        raise ValueError(f"unknown baseline method {method!r}; use "
+                         f"{', '.join(METHODS[:-1])} or {METHODS[-1]}")
+    return _DETECTORS[method](views, ridge)

@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__, baselines, cube, solver
 from .detector import DetectorConfig, detect_with_result
 from .evaluate import DETECTOR_PARAMS, SWEEP_PARAMS, SynthSpec, \
-    configure, roc, synth_scene, sweep, write_roc_csv, write_sweep_csv
+    configure, roc, synth_scene, sweep
 from .sketch import AVERAGE_MODES, _available_cpus
 
 # the BLAS thread variables that the manifest's env block records
@@ -210,6 +210,14 @@ def _write_manifest(args, argv: list, record: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """Write header, then each row, as comma-joined ASCII lines ending in
+    "\\n": every CSV that smsl writes (trace, ROC, sweep) goes through here."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for row in (header, *rows):
+            fh.write(",".join(row) + "\n")
+
+
 def cmd_detect(args) -> dict:
     cfg = _detector_config(args)
     start = time.perf_counter()
@@ -220,7 +228,8 @@ def cmd_detect(args) -> dict:
     cube.save_scores(scores, args.out)
     trace = record.pop("trace")
     if args.trace:
-        solver.write_trace_csv(trace, args.trace)
+        _write_csv(args.trace, ("iteration", "r1", "r2", "r3", "r4", "mu"),
+                   ([str(it), *map(repr, values)] for it, *values in trace))
     record["timings"].update(load_s=load_s,
                              save_s=time.perf_counter() - start)
     return record
@@ -241,7 +250,9 @@ def cmd_eval(args) -> dict:
     except ValueError as exc:
         raise cube.FormatError(str(exc)) from exc
     if args.roc_out:
-        write_roc_csv(curve, args.roc_out)
+        _write_csv(args.roc_out, ("fpr", "tpr"),
+                   (map(repr, point) for point in
+                    zip(curve.fpr.tolist(), curve.tpr.tolist())))
     print(f"auc={curve.auc:.6f}")
     return {}
 
@@ -295,7 +306,10 @@ def cmd_sweep(args) -> dict:
         raise cube.FormatError(f"{args.mask}: mask must contain both "
                                "positive and negative pixels")
     rows = sweep(views, mask, base_cfg, grid)
-    write_sweep_csv(rows, args.out)
+    names = [k for k in rows[0] if k != "auc"]
+    _write_csv(args.out, (*names, "auc"),
+               ([*(str(row[k]) for k in names), f"{row['auc']:.6f}"]
+                for row in rows))
     return {}
 
 

@@ -81,6 +81,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.views < 2:
             raise ValueError("need at least 2 views")
+        if self.height < 1 or self.width < 1:
+            raise ValueError("height and width must be positive")
         if self.n_anomalies >= self.height * self.width:
             raise ValueError("n_anomalies must be below the pixel count")
         if not (self.n_anomalies >= 0
@@ -185,21 +187,3 @@ def sweep(views: ViewSet, mask: GroundTruthMask, base_cfg: DetectorConfig,
     cfgs = [apply_params(base_cfg, params) for params in points]
     return [{**params, "auc": roc(detect(views, cfg), mask).auc}
             for params, cfg in zip(points, cfgs)]
-
-
-def write_roc_csv(curve: RocCurve, path: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("fpr,tpr\n")
-        for f, t in zip(curve.fpr, curve.tpr):
-            fh.write(f"{f!r},{t!r}\n")
-
-
-def write_sweep_csv(rows: list, path: str) -> None:
-    if not rows:
-        raise ValueError("no sweep rows to write")
-    names = [k for k in rows[0] if k != "auc"]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(names + ["auc"]) + "\n")
-        for row in rows:
-            fh.write(",".join([str(row[k]) for k in names]
-                              + [f"{row['auc']:.6f}"]) + "\n")

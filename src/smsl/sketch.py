@@ -134,13 +134,14 @@ def _draw_workers(repeats: int) -> int:
     return min(repeats, _available_cpus())
 
 
-def _sketch(views: ViewSet, cfg: SketchConfig) -> np.ndarray:
-    """``X R_j`` for every repeat j (one row each) under average_mode
-    "scores", or under "dictionary" the single ``X mean_j R_j``, where X
-    stacks the views side by side and R_j is the (S*N) x n_h matrix
-    ``standard_normal((S*N, n_h)) / sqrt(n_h)`` drawn from
-    ``default_rng(repeat_seed(seed, j))``. X is the view set's own stacked
-    buffer, not a copy of it.
+def build_dictionaries(views: ViewSet, cfg: SketchConfig) -> np.ndarray:
+    """The dictionaries a detect solves with, one per row of the returned
+    array, which iterates over them: under average_mode "scores" the R x L
+    x n_h ``X R_j``, one per repeat j, under "dictionary" the 1 x L x n_h
+    ``X mean_j R_j``. X stacks the views side by side and R_j is the
+    (S*N) x n_h matrix ``standard_normal((S*N, n_h)) / sqrt(n_h)`` drawn
+    from ``default_rng(repeat_seed(seed, j))``. X is the view set's own
+    stacked buffer, not a copy of it.
 
     Each R_j is drawn in row blocks of _BLOCK_ENTRIES entries into its own
     buffer ``bufs[j]``, and the blocks are read in (block, repeat) order. A
@@ -198,13 +199,6 @@ def _sketch(views: ViewSet, cfg: SketchConfig) -> np.ndarray:
     return out
 
 
-def build_dictionaries(views: ViewSet, cfg: SketchConfig) -> list:
-    """The dictionaries a detect solves with: under average_mode
-    "dictionary" the one ``X mean_j R_j``, under "scores" one ``X R_j``
-    per repeat j, from the derived seed ``repeat_seed(cfg.seed, j)``."""
-    return list(_sketch(views, cfg))
-
-
 def build_dictionary(views: ViewSet, cfg: SketchConfig) -> np.ndarray:
     """``X mean_j R_j``, the mean of the per-repeat dictionaries up to
     rounding, from one product per row block. A ValueError under
@@ -212,4 +206,4 @@ def build_dictionary(views: ViewSet, cfg: SketchConfig) -> np.ndarray:
     if cfg.average_mode != "dictionary":
         raise ValueError("build_dictionary averages the repeats, but "
                          f"average_mode is {cfg.average_mode!r}")
-    return _sketch(views, cfg)[0]
+    return build_dictionaries(views, cfg)[0]

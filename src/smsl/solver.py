@@ -661,12 +661,3 @@ def solve(views, h, cfg: SolverConfig = SolverConfig()) -> SolveResult:
                        w_nonzero_columns=w_nonzero, block_threads=workers,
                        block_columns=k * _BLOCK_COLUMNS,
                        timings=dict(zip(_PASSES, seconds.tolist())))
-
-
-def write_trace_csv(trace: list, path: str) -> None:
-    """Residual log as CSV (iteration, r1..r4, mu) for convergence plots."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("iteration,r1,r2,r3,r4,mu\n")
-        for row in trace:
-            it, r1, r2, r3, r4, mu = row
-            fh.write(f"{it},{r1!r},{r2!r},{r3!r},{r4!r},{mu!r}\n")

@@ -122,7 +122,8 @@ class TestCommon:
 
     def test_unknown_method(self):
         rng = np.random.default_rng(12)
-        with pytest.raises(ValueError, match="kernel"):
+        with pytest.raises(ValueError, match="unknown baseline method "
+                           "'kernel'; use rx, cc or ce$"):
             run_baseline("kernel", random_views(rng))
 
     def test_requires_two_views(self):

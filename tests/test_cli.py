@@ -107,6 +107,20 @@ class TestDetect:
         with open(trace) as fh:
             assert fh.readline().startswith("iteration,")
 
+    def test_trace_csv(self, scene, tmp_path):
+        out, trace = str(tmp_path / "scores.hdr"), tmp_path / "trace.csv"
+        assert main(detect_args(scene, out, ["--trace", str(trace),
+                                             "--max-iter", "4"])) == 0
+        manifest = json.loads((tmp_path / "scores.hdr.manifest.json")
+                              .read_text())
+        assert manifest["convergence"]["iterations_run"] == 4
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "iteration,r1,r2,r3,r4,mu"
+        assert [line.split(",")[0] for line in lines[1:]] == \
+            ["1", "2", "3", "4"]
+        for line in lines[1:]:
+            assert all(np.isfinite(float(v)) for v in line.split(",")[1:])
+
     def test_missing_second_cube_usage_error(self, scene, tmp_path, capsys):
         code = main(["detect", scene["cubes"][0],
                      "--out", str(tmp_path / "s.hdr")])
@@ -626,6 +640,34 @@ class TestBaseline:
         assert code == 2
 
 
+def _replace(old: bytes, new: bytes):
+    return lambda text: text.replace(old, new)
+
+
+# inputs that the score-map and mask readers refuse: case -> (file of
+# TestEval's fixture it edits, the edit, what smsl prints after "smsl: ")
+READER_REJECTIONS = {
+    "version": ("s.hdr", _replace(b"version=1", b"version=2"),
+                "{path}: unsupported version '2'"),
+    "no_bands": ("s.hdr", _replace(b"bands=1\n", b""),
+                 "{path}: header missing field 'bands'"),
+    "dtype": ("s.hdr", _replace(b"dtype=f32", b"dtype=f64"),
+              "{path}: unsupported dtype/layout/byte_order"),
+    "height": ("s.hdr", _replace(b"height=2", b"height=four"),
+               "{path}: non-positive or non-integer dimension"),
+    "no_payload": ("s.hdr", _replace(b"payload=s.raw", b"payload=nope.raw"),
+                   "missing payload " + os.path.join("{dir}", "nope.raw")),
+    "score_bands": ("s.hdr", _replace(b"bands=1", b"bands=2"),
+                    "{path}: score maps must have bands=1"),
+    "pgm_header": ("m.pgm", lambda _: b"P5\n4 x\n255\n\0\0\0\0",
+                   "{path}: malformed PGM header"),
+    "pgm_maxval": ("m.pgm", lambda _: b"P5\n2 2\n15\n\0\0\0\0",
+                   "{path}: PGM maxval must be 255, got 15"),
+    "pgm_truncated": ("m.pgm", lambda _: b"P5\n2 2\n255\n\0\0\0",
+                      "{path}: truncated PGM payload"),
+}
+
+
 class TestEval:
     def fixture_scores(self, tmp_path, values, shape=(2, 2)):
         path = str(tmp_path / "s.hdr")
@@ -654,6 +696,40 @@ class TestEval:
         assert "auc=0.750000" in capsys.readouterr().out
         with open(roc_out) as fh:
             assert fh.readline().strip() == "fpr,tpr"
+
+    def test_roc_csv_rows_are_the_curve(self, tmp_path):
+        s = self.fixture_scores(tmp_path, [0.9, 0.4, 0.6, 0.6, 0.1, 0.4],
+                                (2, 3))
+        m = self.fixture_mask(tmp_path, [1, 0, 1, 0, 0, 1], (2, 3))
+        roc_out = tmp_path / "roc.csv"
+        assert main(["eval", "--scores", s, "--mask", m,
+                     "--roc-out", str(roc_out)]) == 0
+        header, *lines = roc_out.read_text().splitlines()
+        assert header == "fpr,tpr"
+        rows = [line.split(",") for line in lines]
+        curve = evaluate.roc(load_scores(s), cube.load_mask(m))
+        fpr, tpr = (np.array([float(v) for v in col]) for col in zip(*rows))
+        assert np.array_equal(fpr, curve.fpr)
+        assert np.array_equal(tpr, curve.tpr)
+
+    @pytest.mark.parametrize("case", READER_REJECTIONS)
+    def test_reader_rejection_exit_1(self, tmp_path, capsys, case):
+        s = self.fixture_scores(tmp_path, [4, 3, 1, 0])
+        m = self.fixture_mask(tmp_path, [1, 1, 0, 0])
+        name, edit, message = READER_REJECTIONS[case]
+        path = tmp_path / name
+        path.write_bytes(edit(path.read_bytes()))
+        capsys.readouterr()
+        assert main(["eval", "--scores", s, "--mask", m]) == 1
+        err = capsys.readouterr().err
+        assert "smsl: " + message.format(dir=tmp_path, path=path) in err
+
+    def test_mask_with_a_comment_line_loads(self, tmp_path, capsys):
+        s = self.fixture_scores(tmp_path, [4, 3, 1, 0])
+        m = tmp_path / "m.pgm"
+        m.write_bytes(b"P5\n# a comment\n2 2\n255\n\xff\xff\0\0")
+        assert main(["eval", "--scores", s, "--mask", str(m)]) == 0
+        assert "auc=1.000000" in capsys.readouterr().out
 
     def test_negative_score_exit_1(self, tmp_path, capsys):
         s = self.fixture_scores(tmp_path, [4, 3, 1, 0])
@@ -720,6 +796,17 @@ class TestSynth:
             "range" in err
         assert sorted(os.listdir(out_dir)) == ["view_1.hdr", "view_1.raw"]
 
+    @pytest.mark.parametrize("size", [["--height", "0"],
+                                      ["--height", "-3", "--width", "-3",
+                                       "--anomalies", "0"]],
+                             ids=["zero_height", "negative_size"])
+    def test_non_positive_size_exit_2(self, tmp_path, capsys, size):
+        out_dir = tmp_path / "s"
+        assert main(["synth", "--out-dir", str(out_dir), *size]) == 2
+        assert "smsl: height and width must be positive" in \
+            capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_infeasible_spec_exit_2(self, tmp_path, capsys):
         code = main(["synth", "--out-dir", str(tmp_path / "s"),
                      "--height", "2", "--width", "2", "--anomalies", "9"])
@@ -745,8 +832,10 @@ class TestSweep:
             raise AssertionError("a grid point was solved")
 
         monkeypatch.setattr(evaluate, "detect", detect)
-        # malformed, a parameter without values, and no parameter at all
-        for grid in ("nonsense", "lambda2=", ";"):
+        # malformed, a parameter without values, no parameter at all, an
+        # unknown parameter and a value not of its parameter's type
+        for grid in ("nonsense", "lambda2=", ";", "lambda9=1",
+                     "max_iter=2.5"):
             code = main(["sweep", *scene["cubes"], "--mask", scene["mask"],
                          "--grid", grid, "--out", str(tmp_path / "o.csv")])
             capsys.readouterr()
@@ -798,6 +887,16 @@ class TestSweep:
         assert (f"smsl: {mask}: mask must contain both positive and "
                 "negative pixels" in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_sweep_csv(self, scene, tmp_path, monkeypatch):
+        # the parameter values as given, the AUC to 6 decimals
+        monkeypatch.setattr(evaluate, "detect", lambda views, cfg: None)
+        monkeypatch.setattr(evaluate, "roc", lambda scores, mask:
+                            evaluate.RocCurve(fpr=None, tpr=None, auc=0.75))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *scene["cubes"], "--mask", scene["mask"],
+                     "--grid", "lambda2=1,10", "--out", str(out)]) == 0
+        assert out.read_text() == "lambda2,auc\n1.0,0.750000\n10.0,0.750000\n"
 
     def test_two_by_two_grid_rows(self, scene, tmp_path):
         out = str(tmp_path / "sweep.csv")

@@ -8,9 +8,8 @@ from smsl import evaluate
 from smsl.baselines import rx_difference
 from smsl.cube import DetectionMap, GroundTruthMask
 from smsl.detector import DetectorConfig, detect
-from smsl.evaluate import (SWEEP_PARAMS, RocCurve, SynthSpec, apply_params,
-                           roc, sweep, synth_scene, write_roc_csv,
-                           write_sweep_csv)
+from smsl.evaluate import (SWEEP_PARAMS, SynthSpec, apply_params, roc, sweep,
+                           synth_scene)
 from smsl.sketch import SketchConfig
 from smsl.solver import SolverConfig
 
@@ -183,22 +182,3 @@ class TestSweep:
         listed = re.search(r"Sweepable parameters: `([^`]*)`", readme)
         names = listed.group(1).split()
         assert sorted(names) == sorted(SWEEP_PARAMS)
-
-
-class TestCsvWriters:
-    def test_roc_csv(self, tmp_path):
-        curve = RocCurve(fpr=np.array([0.0, 1.0]), tpr=np.array([0.0, 1.0]),
-                         auc=0.5)
-        path = tmp_path / "roc.csv"
-        write_roc_csv(curve, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "fpr,tpr"
-        assert len(lines) == 3
-
-    def test_sweep_csv(self, tmp_path):
-        rows = [{"lambda2": 1.0, "auc": 0.75}, {"lambda2": 10.0, "auc": 1.0}]
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "lambda2,auc"
-        assert lines[1] == "1.0,0.750000"

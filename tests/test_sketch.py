@@ -191,7 +191,7 @@ class TestStreamedBuild:
         results = []
         for workers in (1, 2, cfg.repeats):
             monkeypatch.setattr(sketch, "_draw_workers", lambda r, w=workers: w)
-            results.append(sketch._sketch(vs, cfg))
+            results.append(build_dictionaries(vs, cfg))
         assert all(np.array_equal(r, results[0]) for r in results[1:])
 
     @pytest.mark.parametrize("repeats", [1, 2, 3])
@@ -230,7 +230,7 @@ class TestStreamedBuild:
         vs = _views(np.random.default_rng(17))
         cfg = SketchConfig(n_h=5, seed=4, repeats=4,
                            average_mode="dictionary" if average else "scores")
-        expected = sketch._sketch(vs, cfg)
+        expected = build_dictionaries(vs, cfg)
         repeat_of = {repeat_seed(cfg.seed, j): j for j in range(cfg.repeats)}
         rows = [[] for _ in range(cfg.repeats)]
         running = [0] * cfg.repeats
@@ -255,7 +255,7 @@ class TestStreamedBuild:
 
         monkeypatch.setattr(np.random, "default_rng", Logged)
         monkeypatch.setattr(sketch, "_draw_workers", lambda r: workers)
-        assert np.array_equal(sketch._sketch(vs, cfg), expected)
+        assert np.array_equal(build_dictionaries(vs, cfg), expected)
         assert overlaps == []
         assert rows == [[4] * 7 + [2]] * cfg.repeats
 

@@ -949,17 +949,6 @@ class TestSolve:
         state.c[:] = 1e300
         solver_mod._check_finite(state, iteration=1)
 
-    def test_trace_csv(self, tmp_path):
-        rng = np.random.default_rng(25)
-        xs = [rng.standard_normal((3, 10)) for _ in range(2)]
-        h = rng.standard_normal((3, 4))
-        res = solve(xs, h, SolverConfig(max_iter=4))
-        path = tmp_path / "trace.csv"
-        solver_mod.write_trace_csv(res.trace, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,r1,r2,r3,r4,mu"
-        assert len(lines) == 5
-
 
 def _instance(seed):
     rng = np.random.default_rng(seed)
